@@ -100,8 +100,11 @@ func runGrid(pat *msa.Patterns, opts core.Options, p gridParams, runName, outDir
 	fmt.Fprintf(stdout, "Grid analysis: %d ML starts + %d bootstrap replicates over %d worker ranks (%s), %d threads/rank\n",
 		p.starts, opts.Bootstraps, p.workers, orChan(p.transport), opts.Workers)
 	cfg := grid.Config{
-		Fleet:          fleet,
-		Tracer:         tracer,
+		Fleet:  fleet,
+		Tracer: tracer,
+		// A job holds at most one rank: R ranks plus the master's own
+		// crew run R+1 jobs at once.
+		Concurrency:    p.workers + 1,
 		ThreadsPerRank: opts.Workers,
 	}
 	if p.killAfter > 0 {

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,5 +56,55 @@ func TestRaxmlGrid(t *testing.T) {
 		if !strings.Contains(string(trace), ev) {
 			t.Errorf("trace missing %s", ev)
 		}
+	}
+}
+
+// TestRaxmlGridKeepsEveryRankBusy pins the CLI's job concurrency: a
+// grid job holds at most one rank, so -grid 3 must run enough jobs at
+// once (R+1) that three distinct workers hold jobs at the same time.
+func TestRaxmlGridKeepsEveryRankBusy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid analysis skipped in -short mode")
+	}
+	dir := t.TempDir()
+	align := writeTestAlignment(t, dir)
+	var out bytes.Buffer
+	if err := Raxml([]string{
+		"-s", align, "-n", "g3", "-N", "12", "-starts", "2", "-grid-batch", "4",
+		"-grid", "3", "-w", dir, "-p", "42", "-x", "99",
+	}, &out); err != nil {
+		t.Fatalf("grid run: %v\n%s", err, out.String())
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "RAxML_gridTrace.g3.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A job holds its rank from its lease event until it is done.
+	holder := map[string]int{} // job -> worker
+	workers := map[int]bool{}
+	peak := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec struct {
+			Ev      string `json:"ev"`
+			Job     string `json:"job"`
+			Workers []int  `json:"workers"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		switch rec.Ev {
+		case "lease":
+			if len(rec.Workers) != 1 {
+				t.Fatalf("job %s leased %v, want one rank", rec.Job, rec.Workers)
+			}
+			holder[rec.Job] = rec.Workers[0]
+			workers[rec.Workers[0]] = true
+			peak = max(peak, len(holder))
+		case "job-done", "restripe":
+			delete(holder, rec.Job)
+		}
+	}
+	if len(workers) != 3 || peak != 3 {
+		t.Errorf("-grid 3 leased workers %v, at most %d at once; want all 3 at once", workers, peak)
 	}
 }

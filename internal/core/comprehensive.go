@@ -71,7 +71,7 @@ type Options struct {
 
 	// StartTrees, with StartTreeKey, caches the stepwise-addition
 	// parsimony starting tree across runs (the analysis server's warm
-	// cache for repeat submissions of one alignment). See SearchOn.
+	// cache for repeat submissions of one alignment). See StartTree.
 	StartTrees StartTreeCache
 	// StartTreeKey names this search's starting tree in StartTrees; it
 	// must pin everything stepwise addition depends on: the alignment

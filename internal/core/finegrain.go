@@ -6,7 +6,6 @@ import (
 
 	"raxml/internal/fabric"
 	"raxml/internal/finegrain"
-	"raxml/internal/gtr"
 	"raxml/internal/likelihood"
 	"raxml/internal/msa"
 	"raxml/internal/parsimony"
@@ -60,48 +59,32 @@ func WithFineEngine(pat *msa.Patterns, opts Options, tr fabric.Transport, body f
 	return run(eng)
 }
 
-// NewPartitionSet builds the per-partition model set the options
-// describe — exported for the grid scheduler, whose jobs rebuild their
-// model set from the origin on every re-stripe attempt (model state
-// mutates during a run; a resumed attempt must not inherit a
-// half-optimized set).
-func NewPartitionSet(pat *msa.Patterns, opts Options) (*gtr.PartitionSet, error) {
-	opts = opts.withDefaults()
-	return buildPartitionSet(pat, opts)
-}
-
-// SearchOn runs ONE thorough ML search on an existing engine: stepwise-
-// addition parsimony start from parsRNG, then the thorough SPR search —
-// the per-job unit of RunFineSearches, exposed so the grid scheduler
-// can run each start as its own DAG job with its own seed stream. The
-// parsimony start tree is built master-side on a temporary full-axis
-// crew of opts.Workers threads, exactly as in RunFineSearches.
+// StartTree returns the stepwise-addition parsimony starting tree of
+// one ML search drawn from parsRNG — the master-side half of a grid ML
+// job, whose search then runs wherever the job is placed. The tree is
+// built on a temporary full-axis crew of opts.Workers threads, exactly
+// as in RunFineSearches.
 //
-// When Options.StartTrees and Options.StartTreeKey are set, the
-// stepwise-addition tree is looked up in (and on a miss, inserted into)
-// the cache instead of being rebuilt. This is exact, not approximate:
-// parsRNG is consumed only by stepwise addition, the search itself is
-// deterministic in the start tree, and the cache stores a pristine
-// Clone — so a cache-hit search reproduces the cold run bit for bit.
-func SearchOn(eng *likelihood.Engine, pat *msa.Patterns, opts Options, parsRNG *rng.RNG) (*search.Result, error) {
+// When Options.StartTrees and Options.StartTreeKey are set, the tree is
+// looked up in (and on a miss, inserted into) the cache instead of
+// being rebuilt. This is exact, not approximate: parsRNG is consumed
+// only by stepwise addition, the search is deterministic in the start
+// tree, and the cache stores a pristine Clone — so a search from a
+// cache hit reproduces the cold run bit for bit.
+func StartTree(pat *msa.Patterns, opts Options, parsRNG *rng.RNG) *tree.Tree {
 	opts = opts.withDefaults()
-	settings := search.Thorough()
-	if opts.ThoroughSettings != nil {
-		settings = *opts.ThoroughSettings
-	}
 	if opts.StartTrees != nil && opts.StartTreeKey != "" {
 		if start, ok := opts.StartTrees.GetStartTree(opts.StartTreeKey); ok {
-			return search.Run(eng, start, settings)
+			return start
 		}
 	}
 	parsPool := newPool(pat, opts.Workers)
 	defer parsPool.Close()
-	pars := parsimony.New(pat, parsPool)
-	start := pars.StepwiseAddition(parsRNG)
+	start := parsimony.New(pat, parsPool).StepwiseAddition(parsRNG)
 	if opts.StartTrees != nil && opts.StartTreeKey != "" {
 		opts.StartTrees.PutStartTree(opts.StartTreeKey, start.Clone())
 	}
-	return search.Run(eng, start, settings)
+	return start
 }
 
 // EvaluateTreeFine is EvaluateTree (-f e) over the distributed fine

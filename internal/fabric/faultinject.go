@@ -134,15 +134,18 @@ func describeFault(f Fault) string {
 }
 
 // RandomFaultPlan derives a deterministic schedule from seed: one to
-// three point faults (drop, delay, corrupt) over the first few hundred
-// frames, sometimes a sever, sometimes a straggler throttle. Two calls
+// three point faults (drop, delay, corrupt) over the first sixteen
+// frames, sometimes a sever within the first few dozen, sometimes a
+// straggler throttle. The window is sized to the traffic of a grid
+// worker link, which carries a few dozen frames per analysis (whole
+// jobs, not per-dispatch round trips), so most faults land. Two calls
 // with equal seeds build identical plans — the property that makes a
 // chaos failure replayable from the seed alone.
 func RandomFaultPlan(seed int64) *FaultPlan {
 	r := rng.New(seed)
 	p := &FaultPlan{Seed: seed}
 	for i, n := 0, 1+r.Intn(3); i < n; i++ {
-		f := Fault{Frame: int64(1 + r.Intn(300))}
+		f := Fault{Frame: int64(1 + r.Intn(16))}
 		switch r.Intn(3) {
 		case 0:
 			f.Class = FaultDrop
@@ -159,7 +162,7 @@ func RandomFaultPlan(seed int64) *FaultPlan {
 		}
 	}
 	if r.Intn(3) == 0 {
-		p.SeverAfter = int64(20 + r.Intn(500))
+		p.SeverAfter = int64(4 + r.Intn(28))
 	}
 	if r.Intn(3) == 0 {
 		p.StraggleEvery = int64(4 + r.Intn(12))

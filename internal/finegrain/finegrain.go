@@ -73,6 +73,22 @@ const (
 	// master overlap P-matrix fills for later descriptor entries with
 	// the shipping of earlier ones (master -> workers).
 	TagJobFrag
+	// TagRunJob ships one whole grid job — patterns plus a gridjob.Spec —
+	// to an idle worker, which runs it on its own thread crew
+	// (master -> worker; see job.go).
+	TagRunJob
+	// TagJobCheckpoint relays a running bootstrap job's checkpoint at a
+	// replicate boundary; the worker then waits for the master's
+	// verdict (worker -> master).
+	TagJobCheckpoint
+	// TagJobContinue is the verdict that lets a job past a replicate
+	// boundary; TagRelease is the one that stops it (master -> worker).
+	TagJobContinue
+	// TagJobProgress is a running job's keepalive (worker -> master).
+	TagJobProgress
+	// TagJobResult carries a finished job's gridjob.Result
+	// (worker -> master).
+	TagJobResult
 )
 
 // Fragmentation thresholds: descriptors of at least fragMinEntries ship
@@ -90,9 +106,11 @@ var (
 // them for fast fault detection; zero disables a guard.
 var (
 	// DispatchTimeout bounds the master's wait for each rank's partial
-	// within one dispatch. A rank that neither answers nor errors —
-	// wedged process, frame lost in flight — would otherwise stall the
-	// dispatch forever; the deadline converts it into the same
+	// within one dispatch, and on a whole-job session (RunJob) the
+	// silence between the worker's frames — the worker sends progress
+	// frames at a quarter of it. A rank that neither answers nor errors
+	// — wedged process, frame lost in flight — would otherwise stall the
+	// master forever; the deadline converts it into the same
 	// RankDeadError a crashed rank produces, feeding the grid's
 	// restripe path. Generous by default: it needs only to beat
 	// "forever", not to catch slow ranks.

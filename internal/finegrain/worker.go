@@ -19,22 +19,25 @@ func Serve(tr fabric.Transport) error {
 	return ServeSessions(tr)
 }
 
-// ServeSessions runs a grid worker rank: an idle loop that the master
-// leases into finegrain *sessions* and returns to the free pool
-// between them. One worker process thus serves many coarse jobs over
-// its lifetime, each with its own stripe geometry and engine:
+// ServeSessions runs a worker rank: an idle loop that the master
+// leases into *sessions* and returns to the free pool between them.
+// One worker process thus serves many coarse jobs over its lifetime.
+// There are two session types: a stripe session (TagInit) serves one
+// fine-grain engine's dispatches — the -fine path — and a job session
+// (TagRunJob, job.go) runs one whole grid job on the worker's own crew:
 //
 //	idle:    TagPing -> TagPong (the scheduler's liveness probe)
 //	         TagRelease -> TagReleased (idempotent; stray release)
-//	         TagInit -> build engine, enter session
+//	         TagInit -> build engine, enter stripe session
+//	         TagRunJob -> run the job, relaying its boundaries (job.go)
 //	         TagShutdown / closed transport -> exit
-//	session: TagJob -> execute, send TagPartial
+//	stripe:  TagJob -> execute, send TagPartial
 //	         TagRelease -> send TagReleased, drop engine, back to idle
 //	         TagShutdown / closed transport -> exit
 //
 // The release handshake is what makes worker reuse safe after a
 // failure: the master discards every frame ahead of the TagReleased
-// ack, so partials of an abandoned job can never be mistaken for the
+// ack, so frames of an abandoned job can never be mistaken for the
 // next session's traffic.
 //
 // A worker is stateless beyond its session engine: every job frame
@@ -71,6 +74,14 @@ func ServeSessions(tr fabric.Transport) error {
 			}
 		case TagInit:
 			done, err := serveSession(tr, payload)
+			if err != nil {
+				return err
+			}
+			if done {
+				return nil
+			}
+		case TagRunJob:
+			done, err := serveJob(tr, payload)
 			if err != nil {
 				return err
 			}

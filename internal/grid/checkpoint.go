@@ -1,128 +1,13 @@
 package grid
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "raxml/internal/gridjob"
 
 // BootstrapCheckpoint is the replicate-boundary state of one bootstrap
-// batch job: everything needed to regenerate the rest of the stream
-// bit-identically after a re-stripe — the done count, both RNG stream
-// positions (the -x resampling stream and the -p stepwise-addition
-// stream), the previous replicate's tree that seeds the next rapid
-// search, and the finished replicates themselves.
-//
-// An ML start job needs no checkpoint: it is one replicate, retried
-// from its own seed.
-type BootstrapCheckpoint struct {
-	// Done counts finished replicates (the next intra-stream index).
-	Done int
-	// BsState and ParsState are the rng.RNG states of the two streams
-	// as of the boundary.
-	BsState, ParsState uint64
-	// PrevTree is the reuse-chain tree in Newick ("" before the first
-	// replicate).
-	PrevTree string
-	// Trees and LnLs are the finished replicates, in stream order.
-	Trees []string
-	LnLs  []float64
-}
-
-// ckptMagic versions the wire format (little-endian throughout, string
-// = u32 length + bytes, per the repo's wire-codec conventions).
-const ckptMagic uint32 = 0x42435031 // "BCP1"
-
-// Encode serializes the checkpoint.
-func (cp *BootstrapCheckpoint) Encode() []byte {
-	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, ckptMagic)
-	b = binary.LittleEndian.AppendUint32(b, uint32(cp.Done))
-	b = binary.LittleEndian.AppendUint64(b, cp.BsState)
-	b = binary.LittleEndian.AppendUint64(b, cp.ParsState)
-	b = appendString(b, cp.PrevTree)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(cp.Trees)))
-	for i, t := range cp.Trees {
-		b = appendString(b, t)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(cp.LnLs[i]))
-	}
-	return b
-}
+// batch job, as the grid's checkpoint store holds it (see
+// gridjob.Checkpoint).
+type BootstrapCheckpoint = gridjob.Checkpoint
 
 // DecodeBootstrapCheckpoint parses a checkpoint produced by Encode.
 func DecodeBootstrapCheckpoint(b []byte) (*BootstrapCheckpoint, error) {
-	d := &decoder{b: b}
-	if magic := d.u32(); magic != ckptMagic {
-		return nil, fmt.Errorf("grid: bad checkpoint magic %#x", magic)
-	}
-	cp := &BootstrapCheckpoint{}
-	cp.Done = int(d.u32())
-	cp.BsState = d.u64()
-	cp.ParsState = d.u64()
-	cp.PrevTree = d.str()
-	n := int(d.u32())
-	if d.err == nil && n > len(b) {
-		return nil, fmt.Errorf("grid: checkpoint claims %d replicates in %d bytes", n, len(b))
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		cp.Trees = append(cp.Trees, d.str())
-		cp.LnLs = append(cp.LnLs, math.Float64frombits(d.u64()))
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("grid: %d trailing checkpoint bytes", len(d.b))
-	}
-	return cp, nil
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 4 {
-		d.err = fmt.Errorf("grid: truncated checkpoint")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.err = fmt.Errorf("grid: truncated checkpoint")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *decoder) str() string {
-	n := int(d.u32())
-	if d.err != nil {
-		return ""
-	}
-	if n < 0 || len(d.b) < n {
-		d.err = fmt.Errorf("grid: truncated checkpoint string")
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
+	return gridjob.DecodeCheckpoint(b)
 }

@@ -5,54 +5,51 @@ import (
 
 	"raxml/internal/fabric"
 	"raxml/internal/finegrain"
-	"raxml/internal/gtr"
-	"raxml/internal/likelihood"
+	"raxml/internal/gridjob"
 	"raxml/internal/msa"
 )
 
-// stripeQuantum mirrors finegrain's 16-pattern rank-stripe quantum; the
-// lease cap keeps every rank's stripe comfortably above it so NewPool
-// never sees an empty stripe.
-const stripeQuantum = 16
-
-// Elastic runs body over a likelihood engine striped across the job's
-// current lease of fine-grain workers, re-striping and retrying when a
-// leased rank dies. Each attempt:
+// Elastic runs one coarse job — an ML search or a bootstrap batch —
+// on whatever the fleet offers, retrying on a fresh rank when a leased
+// one dies. Each attempt:
 //
-//  1. lease a fair share of the free pool (possibly zero workers — the
-//     job then runs master-local, never blocking on the fleet),
-//  2. build a fresh finegrain.Pool + engine over a sub-transport of the
-//     leased links (newSet supplies the model set, fresh per attempt:
-//     model state mutates during a run and must restart from the
-//     checkpointed origin, not from a half-optimized carcass),
-//  3. run body, recovering the wrapped-error panics finegrain.Pool
-//     throws across the Dispatcher contract on transport failure,
-//  4. release the lease: drain survivors back to the free pool, report
-//     dead ranks to the fleet.
+//  1. builds the attempt's spec (spec reads the job's last checkpoint,
+//     so a retry resumes where the dead rank's stream stopped),
+//  2. leases at most one worker rank — none when the free pool is
+//     empty or the grid's rank budget is spent, and the attempt then
+//     runs master-local on a ThreadsPerRank crew instead of waiting,
+//  3. runs the whole job: gridjob.Run here, or finegrain.RunJob on the
+//     leased rank, which runs the same gridjob.Run on its own crew and
+//     relays its checkpoint back to onCheckpoint at every replicate
+//     boundary,
+//  4. ends the lease: a worker that delivered its result returns to
+//     the free pool; after a failure the release handshake drains the
+//     link, and a worker that does not ack is marked dead.
 //
-// On a RankDeadError the attempt repeats — survivors plus any late
-// joiners form the new stripe — and body re-enters from the job's last
-// checkpoint (ctx.Load). Any other error is the job's own and returns
-// as-is. Body must therefore be resumable: idempotent up to its
-// checkpoint, deterministic past it.
-func (c *JobContext) Elastic(pat *msa.Patterns, newSet func() (*gtr.PartitionSet, error), body func(eng *likelihood.Engine) error) error {
+// On a RankDeadError the attempt repeats. Any other error — the job's
+// own, or an onCheckpoint error such as ErrCanceled — returns as is.
+// onCheckpoint runs on the master either way, so it checkpoints through
+// ctx.Save and emits trace events exactly as a master-local job does.
+func (c *JobContext) Elastic(pat *msa.Patterns, spec func() (*gridjob.Spec, error), onCheckpoint func(*gridjob.Checkpoint) error) (*gridjob.Result, error) {
 	for attempt := 0; ; attempt++ {
 		if c.Canceled() {
-			return ErrCanceled
+			return nil, ErrCanceled
 		}
-		ws := c.g.cfg.Fleet.leaseShare(c.job.ID, c.g, pat)
-		c.g.addLeased(len(ws))
-		err := c.attempt(pat, newSet, body, ws)
-		c.g.addLeased(-len(ws))
+		sp, err := spec()
+		if err != nil {
+			return nil, err
+		}
+		sp.Threads = c.g.cfg.ThreadsPerRank
+		res, err := c.attempt(pat, sp, onCheckpoint)
 		if err == nil {
-			return nil
+			return res, nil
 		}
 		rde := fabric.AsRankDead(err)
 		if rde == nil {
-			return err
+			return nil, err
 		}
 		if attempt >= c.g.cfg.MaxRestripes {
-			return fmt.Errorf("grid: job %s: %d re-stripes exhausted: %w", c.job.ID, attempt, err)
+			return nil, fmt.Errorf("grid: job %s: %d re-stripes exhausted: %w", c.job.ID, attempt, err)
 		}
 		c.g.cfg.Tracer.Event("restripe", c.job.ID, map[string]any{
 			"dead_rank": rde.Rank, "attempt": attempt + 1,
@@ -60,74 +57,13 @@ func (c *JobContext) Elastic(pat *msa.Patterns, newSet func() (*gtr.PartitionSet
 	}
 }
 
-// leaseShare leases jobID a fair share of the free pool: free workers
-// divided by running jobs, capped so every rank stripe spans at least
-// two quanta of the pattern axis.
-func (f *Fleet) leaseShare(jobID string, g *Grid, pat *msa.Patterns) []*Worker {
-	if f == nil {
-		return nil
-	}
-	g.mu.Lock()
-	running := g.running
-	g.mu.Unlock()
-	if running < 1 {
-		running = 1
-	}
-	free := f.NumFree()
-	want := (free + running - 1) / running
-	if cap := pat.NumPatterns()/(2*stripeQuantum) - 1; want > cap {
-		want = cap
-	}
-	if budget := g.leaseBudget(); budget >= 0 && want > budget {
-		want = budget
-	}
-	if want < 0 {
-		want = 0
-	}
-	return f.Lease(jobID, want)
-}
-
 // attempt runs one lease-to-release cycle.
-func (c *JobContext) attempt(pat *msa.Patterns, newSet func() (*gtr.PartitionSet, error), body func(eng *likelihood.Engine) error, ws []*Worker) error {
-	links := make([]fabric.Link, len(ws))
-	for i, w := range ws {
-		links[i] = w.link
+func (c *JobContext) attempt(pat *msa.Patterns, sp *gridjob.Spec, onCheckpoint func(*gridjob.Checkpoint) error) (*gridjob.Result, error) {
+	w := c.g.leaseRank(c.job.ID)
+	if w == nil {
+		return gridjob.Run(pat, sp, onCheckpoint)
 	}
-	set, err := newSet()
-	if err != nil {
-		c.g.cfg.Fleet.ReleaseAll(ws)
-		return err
-	}
-	pool, err := finegrain.NewPool(newSubTransport(links), pat, set, c.g.cfg.ThreadsPerRank)
-	if err != nil {
-		// Init may have reached some workers before a link broke; the
-		// per-link handshake drains whoever answers.
-		c.g.cfg.Fleet.ReleaseAll(ws)
-		return err
-	}
-	defer func() {
-		dead := pool.Release()
-		c.g.cfg.Fleet.Return(ws, dead)
-	}()
-	eng, err := likelihood.NewPartitioned(pat, set, likelihood.Config{Pool: pool})
-	if err != nil {
-		return err
-	}
-	return runRecovering(body, eng)
-}
-
-// runRecovering converts finegrain.Pool's wrapped-error panics — the
-// only way a transport failure can cross the no-error Dispatcher
-// contract — back into errors. Non-error panics keep propagating.
-func runRecovering(body func(*likelihood.Engine) error, eng *likelihood.Engine) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			e, ok := r.(error)
-			if !ok {
-				panic(r)
-			}
-			err = e
-		}
-	}()
-	return body(eng)
+	res, err := finegrain.RunJob(w.link, pat, sp, onCheckpoint)
+	c.g.returnRank(w, err == nil)
+	return res, err
 }

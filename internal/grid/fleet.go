@@ -18,6 +18,13 @@ import (
 // dead as one with a broken link. Chaos tests shrink it.
 var ProbeTimeout = 10 * time.Second
 
+// freshFor is how long a worker's last proof of life — an admission
+// hello, a pong, a release ack, a clean job result — stands in for a
+// lease-time probe: a worker heard from this recently is leased
+// without another ping round trip. A worker that died inside the
+// window costs its next job one failed attempt, which restripes.
+const freshFor = time.Second
+
 // DefaultHeartbeatInterval is the fleet's background liveness sweep
 // cadence — frequent enough that a SIGKILLed idle worker is evicted
 // well before a job would otherwise discover the corpse at lease time.
@@ -31,8 +38,8 @@ const DefaultHeartbeatInterval = 3 * time.Second
 // mid-job.
 //
 // Fleet identity is flat: worker ids are assigned in admission order
-// and never reused. A worker's *job-local* rank — its position in some
-// job's finegrain pool — exists only for the duration of one lease.
+// and never reused. A lease hands one worker to one job attempt, which
+// ships the whole job to it.
 type Fleet struct {
 	tracer *Tracer
 
@@ -64,9 +71,10 @@ type Worker struct {
 	// (0 for in-proc workers) — what lets chaos runs SIGKILL a real rank.
 	PID int
 
-	link  fabric.Link
-	jobID string
-	dead  bool
+	link    fabric.Link
+	jobID   string
+	dead    bool
+	aliveAt time.Time // last proof of life (see freshFor)
 }
 
 // NewFleet creates an empty fleet.
@@ -86,7 +94,7 @@ func (f *Fleet) Admit(link fabric.Link, pid int) *Worker {
 	if f.LinkWrapper != nil {
 		link = f.LinkWrapper(id, link)
 	}
-	w := &Worker{ID: id, PID: pid, link: link}
+	w := &Worker{ID: id, PID: pid, link: link, aliveAt: time.Now()}
 	f.workers[w.ID] = w
 	f.free = append(f.free, w.ID)
 	f.cond.Broadcast()
@@ -200,8 +208,9 @@ func (f *Fleet) Stats() (admitted, alive, free, leased, dead int) {
 }
 
 // Lease takes up to want workers from the free pool for jobID, probing
-// each candidate's liveness (TagPing/TagPong) so a worker that died
-// while idle is discarded here rather than poisoning the job's pool.
+// the liveness (TagPing/TagPong) of each candidate not heard from
+// within freshFor, so a worker that died while idle is discarded here
+// rather than handed a job.
 // It returns fewer than want — possibly none — when the free pool runs
 // short; a job always proceeds with whatever it got (the master rank
 // alone, at minimum).
@@ -216,8 +225,9 @@ func (f *Fleet) Lease(jobID string, want int) []*Worker {
 		id := f.free[0]
 		f.free = f.free[1:]
 		w := f.workers[id]
+		fresh := time.Since(w.aliveAt) < freshFor
 		f.mu.Unlock()
-		if !f.probe(w) {
+		if !fresh && !f.probe(w) {
 			f.markDead(w, "probe")
 			continue
 		}
@@ -256,8 +266,9 @@ func (f *Fleet) probe(w *Worker) bool {
 // each currently-idle worker is probed (ping/pong) and non-responders
 // are evicted — so dead idle workers leave the pool within an interval
 // or two instead of surfacing as failed probes at lease time. Leased
-// workers are never touched; their liveness is the job's dispatch
-// deadline. Call StopHeartbeats before Shutdown.
+// workers are never touched; their liveness is the job relay's silence
+// bound (finegrain.DispatchTimeout). Call StopHeartbeats before
+// Shutdown.
 func (f *Fleet) StartHeartbeats(interval time.Duration) {
 	if interval <= 0 || f.hbStop != nil {
 		return
@@ -325,27 +336,8 @@ func (f *Fleet) Heartbeats() int64 { return f.heartbeats.Load() }
 // dead (for metrics).
 func (f *Fleet) Evicted() int64 { return f.evicted.Load() }
 
-// Return ends a lease: workers whose job-local rank appears in dead
-// (1-based, as reported by finegrain.Pool.Release) are marked dead, the
-// rest go back to the free pool. ws must be in job-local rank order
-// (rank r = ws[r-1]), as built by the lease.
-func (f *Fleet) Return(ws []*Worker, dead []int) {
-	deadSet := make(map[int]bool, len(dead))
-	for _, r := range dead {
-		deadSet[r] = true
-	}
-	for i, w := range ws {
-		if deadSet[i+1] {
-			f.markDead(w, "release")
-		} else {
-			f.release(w)
-		}
-	}
-}
-
-// ReleaseAll ends a lease when no pool exists to drain it (pool
-// construction failed partway): it runs the release handshake with
-// each worker directly, marking non-ackers dead.
+// ReleaseAll ends a lease: it runs the release handshake with each
+// worker, returning ackers to the free pool and marking the rest dead.
 func (f *Fleet) ReleaseAll(ws []*Worker) {
 	for _, w := range ws {
 		if releaseLink(w.link) {
@@ -356,9 +348,9 @@ func (f *Fleet) ReleaseAll(ws []*Worker) {
 	}
 }
 
-// releaseLink mirrors the master side of finegrain's release drain over
-// one raw link: send TagRelease, discard frames until the TagReleased
-// ack.
+// releaseLink runs the master side of the release handshake over one
+// link: send TagRelease, discard frames (stale progress or relay frames
+// of an abandoned job) until the TagReleased ack.
 func releaseLink(l fabric.Link) bool {
 	if err := l.Send(finegrain.TagRelease, nil); err != nil {
 		return false
@@ -379,9 +371,12 @@ func releaseLink(l fabric.Link) bool {
 	return false
 }
 
+// release returns a worker that just proved itself alive to the free
+// pool.
 func (f *Fleet) release(w *Worker) {
 	f.mu.Lock()
 	w.jobID = ""
+	w.aliveAt = time.Now()
 	if !w.dead {
 		f.free = append(f.free, w.ID)
 	}

@@ -1,28 +1,30 @@
-// Package grid is the coarse×fine orchestrator over the fabric fleet:
+// Package grid is the coarse-grain orchestrator over the fabric fleet:
 // the reproduction's answer to running the paper's WHOLE comprehensive
 // analysis — many ML starts, rapid-bootstrap replicate streams,
 // bootstopping convergence checks, consensus — as one dependency graph
 // over however many ranks happen to be alive.
 //
-// The paper's hybrid fixes the partition up front: p coarse MPI ranks,
-// each fanning one likelihood over t Pthreads, no rank ever changing
-// jobs. The grid makes that partition elastic. Coarse work items are
-// DAG jobs; the scheduler runs ready jobs concurrently and leases each
-// one a share of the free worker ranks for the duration of one attempt.
-// A leased rank serves the job's private finegrain.Pool (the fine
-// grain), is drained by a release handshake when the attempt ends, and
-// returns to the free pool for the next job — so the coarse/fine split
-// R = sum of per-job k_i re-forms continuously as jobs start, finish,
-// and fail.
+// The paper splits the work this way: MPI ranks take the coarse grain
+// (whole ML searches and bootstrap replicates) and Pthreads take the
+// fine grain inside each rank. The grid keeps that split and makes the
+// rank set elastic. Coarse work items are DAG jobs; the scheduler runs
+// ready jobs concurrently, and each job attempt leases at most one free
+// worker rank and ships the whole job to it — patterns, model, search
+// settings, seeds and any checkpoint in one frame (finegrain's job
+// session). The worker runs the job on its own ThreadsPerRank crew,
+// relays its checkpoint at every replicate boundary and sends the
+// result; progress frames keep the link's silence bound, not the job's
+// length, in check. An attempt that finds no free rank (or no rank
+// budget) runs the same job body, gridjob.Run, on the master, so a
+// job's results do not depend on where it ran.
 //
-// Fault tolerance is checkpoint/re-stripe: jobs checkpoint replicate
-// state (trees + RNG stream positions) at replicate boundaries into the
-// grid's store; when a rank dies mid-job — detected as a typed
-// RankDeadError surfacing from the job's pool — the job's remaining
-// workers are drained, the dead rank is dropped from the fleet, and the
-// job re-stripes a fresh pool over survivors (possibly plus late
-// joiners) and resumes from its last checkpoint. Per-job RNG streams
-// make results independent of lease shapes and failure timing.
+// Fault tolerance is checkpoint/restart: the master stores each relayed
+// checkpoint (trees + RNG stream positions) in the grid's store; when
+// the leased rank dies mid-job — a broken, silent or desynced link,
+// surfacing as a typed RankDeadError — the rank is dropped from the
+// fleet and the job retries on whatever rank is free (or master-local),
+// resuming from its last checkpoint. Per-job RNG streams make results
+// independent of placement and failure timing.
 //
 // See docs/grid-scheduler.md for the DAG model, the rank-lease
 // protocol, the checkpoint format, and failure/rejoin semantics.
@@ -70,9 +72,9 @@ type Job struct {
 	// Deps are job IDs that must be Done before this job starts. They
 	// must already be added when this job is added.
 	Deps []string
-	// Run executes the job. It may lease fine-grain workers through
-	// ctx.Elastic, checkpoint through ctx.Save, and extend the DAG
-	// through ctx.Add (how bootstopping grows replicate rounds until
+	// Run executes the job. It may run its work on a leased worker rank
+	// through ctx.Elastic, checkpoint through ctx.Save, and extend the
+	// DAG through ctx.Add (how bootstopping grows replicate rounds until
 	// convergence).
 	Run func(ctx *JobContext) error
 
@@ -87,11 +89,12 @@ type Config struct {
 	Fleet *Fleet
 	// Tracer records the event trace (nil: silent).
 	Tracer *Tracer
-	// Concurrency caps concurrently running jobs (default 2 — the
-	// coarse grain; each job's fine grain is its lease).
+	// Concurrency caps concurrently running jobs (default 2). Each job
+	// holds at most one fleet rank, so R ranks stay busy under R+1
+	// concurrent jobs: one per rank plus one on the master.
 	Concurrency int
-	// ThreadsPerRank is t of the R×t grid: threads in each leased
-	// rank's crew and in the job-local crew (default 1).
+	// ThreadsPerRank is t of the R×t grid: the thread crew each job
+	// runs on, on its leased rank or on the master (default 1).
 	ThreadsPerRank int
 	// MaxRestripes caps re-stripe attempts per job after rank deaths
 	// (default 8): a fleet losing ranks faster than that is gone.
@@ -190,27 +193,44 @@ func (g *Grid) Checkpoints() map[string][]byte {
 	return out
 }
 
-// addLeased adjusts the grid's leased-rank count (admission accounting
-// for Config.MaxLeasedRanks).
-func (g *Grid) addLeased(n int) {
+// leaseRank leases at most one fleet worker to job for one attempt. The
+// Config.MaxLeasedRanks check and the reservation happen in one step
+// under g.mu, so concurrent jobs of one grid can never jointly hold
+// more ranks than the budget. nil means run this attempt master-local.
+func (g *Grid) leaseRank(job string) *Worker {
+	if g.cfg.Fleet == nil {
+		return nil
+	}
 	g.mu.Lock()
-	g.leased += n
+	if g.cfg.MaxLeasedRanks > 0 && g.leased >= g.cfg.MaxLeasedRanks {
+		g.mu.Unlock()
+		return nil
+	}
+	g.leased++
 	g.mu.Unlock()
+	if ws := g.cfg.Fleet.Lease(job, 1); len(ws) == 1 {
+		return ws[0]
+	}
+	g.mu.Lock()
+	g.leased--
+	g.mu.Unlock()
+	return nil
 }
 
-// leaseBudget returns how many more ranks the grid may lease right now
-// (-1: unlimited).
-func (g *Grid) leaseBudget() int {
+// returnRank ends a leaseRank lease and frees its budget. A worker
+// whose job ended in a clean result has sent its last frame and is
+// back in its idle loop, so it returns to the free pool as is; after
+// any failure the release handshake drains the link first (or marks
+// the worker dead).
+func (g *Grid) returnRank(w *Worker, clean bool) {
+	if clean {
+		g.cfg.Fleet.release(w)
+	} else {
+		g.cfg.Fleet.ReleaseAll([]*Worker{w})
+	}
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.cfg.MaxLeasedRanks <= 0 {
-		return -1
-	}
-	b := g.cfg.MaxLeasedRanks - g.leased
-	if b < 0 {
-		b = 0
-	}
-	return b
+	g.leased--
+	g.mu.Unlock()
 }
 
 // Add inserts a job. Dependencies must already exist; IDs must be
@@ -369,7 +389,7 @@ func (c *JobContext) Canceled() bool { return c.g.Canceled() }
 func (c *JobContext) Add(j *Job) error { return c.g.Add(j) }
 
 // Save stores the job's checkpoint — the replicate-boundary state that
-// a re-striped resume restarts from — replacing any previous one, and
+// a retried attempt resumes from — replacing any previous one, and
 // notifies the chaos hook.
 func (c *JobContext) Save(data []byte) {
 	c.g.mu.Lock()

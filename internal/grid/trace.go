@@ -11,7 +11,7 @@ import (
 // line per state transition (job lifecycle, leases, failures,
 // checkpoints, membership changes). The trace is the forensic record a
 // CI failure uploads — it reconstructs which job held which workers
-// when a rank died and where the re-striped resume picked up.
+// when a rank died and where the retried attempt picked up.
 //
 // A nil *Tracer is valid and silent, so call sites never guard.
 //

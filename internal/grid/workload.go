@@ -8,11 +8,11 @@ import (
 	"raxml/internal/bootstop"
 	"raxml/internal/consensus"
 	"raxml/internal/core"
-	"raxml/internal/gtr"
-	"raxml/internal/likelihood"
+	"raxml/internal/gridjob"
 	"raxml/internal/msa"
 	"raxml/internal/rapidbs"
 	"raxml/internal/rng"
+	"raxml/internal/search"
 	"raxml/internal/tree"
 )
 
@@ -43,7 +43,7 @@ type Analysis struct {
 	JobPrefix string
 	// StartTrees, when set with StartTreeKeyBase, caches parsimony
 	// stepwise-addition starting trees across analyses — the warm-cache
-	// path for repeat submissions of the same alignment (core.SearchOn
+	// path for repeat submissions of the same alignment (core.StartTree
 	// documents the exactness argument).
 	StartTrees core.StartTreeCache
 	// StartTreeKeyBase keys this analysis's starting trees; it must
@@ -146,8 +146,10 @@ func (a *Analysis) Build(g *Grid) (*Result, error) {
 	return res, nil
 }
 
-// mlJob searches from one stepwise-addition start. No checkpoint: the
-// job is one replicate; a re-stripe retries it whole from its own seed.
+// mlJob searches from one stepwise-addition start. The start tree is
+// built (or found in the warm cache) on the master; the search runs
+// wherever Elastic places it. No checkpoint: the job is one replicate,
+// and a retry repeats the search from the same start tree.
 func (a *Analysis) mlJob(id string, index int, res *Result) *Job {
 	return &Job{
 		ID: id,
@@ -155,29 +157,24 @@ func (a *Analysis) mlJob(id string, index int, res *Result) *Job {
 			if ctx.Canceled() {
 				return ErrCanceled
 			}
-			return ctx.Elastic(a.Pat, a.newSet, func(eng *likelihood.Engine) error {
-				a.prep(eng)
-				opts := a.Opts
-				if a.StartTrees != nil && a.StartTreeKeyBase != "" {
-					opts.StartTrees = a.StartTrees
-					opts.StartTreeKey = fmt.Sprintf("%s/ml/%d", a.StartTreeKeyBase, index)
-				}
-				sr, err := core.SearchOn(eng, a.Pat, opts, rng.ForRank(a.Opts.SeedParsimony, mlSeedBase+index))
-				if err != nil {
-					return err
-				}
-				nw, err := tree.FormatNewick(sr.Tree, nil)
-				if err != nil {
-					return err
-				}
-				res.mu.Lock()
-				res.Starts = append(res.Starts, StartOutcome{Index: index, Newick: nw, LogLikelihood: sr.LogLikelihood})
-				res.mu.Unlock()
-				ctx.g.cfg.Tracer.Event("ml-done", ctx.ID(), map[string]any{
-					"index": index, "lnl": sr.LogLikelihood, "dispatches": eng.DispatchCount(),
-				})
-				return nil
+			opts := a.Opts
+			if a.StartTrees != nil && a.StartTreeKeyBase != "" {
+				opts.StartTrees = a.StartTrees
+				opts.StartTreeKey = fmt.Sprintf("%s/ml/%d", a.StartTreeKeyBase, index)
+			}
+			sp := a.spec(gridjob.ML, a.Opts.ThoroughSettings, search.Thorough())
+			sp.Start = core.StartTree(a.Pat, opts, rng.ForRank(a.Opts.SeedParsimony, mlSeedBase+index))
+			out, err := ctx.Elastic(a.Pat, func() (*gridjob.Spec, error) { return sp, nil }, nil)
+			if err != nil {
+				return err
+			}
+			res.mu.Lock()
+			res.Starts = append(res.Starts, StartOutcome{Index: index, Newick: out.Newick, LogLikelihood: out.LogLikelihood})
+			res.mu.Unlock()
+			ctx.g.cfg.Tracer.Event("ml-done", ctx.ID(), map[string]any{
+				"index": index, "lnl": out.LogLikelihood, "dispatches": out.Dispatches,
 			})
+			return nil
 		},
 	}
 }
@@ -210,7 +207,8 @@ func (a *Analysis) addRound(g *Grid, res *Result, firstBatch, count int) ([]stri
 // checkpointing at every replicate boundary. Each batch is its own
 // stream (own seed pair), so batches parallelize like the paper's
 // coarse ranks while replicates inside a batch chain trees exactly as
-// rapid bootstrapping requires.
+// rapid bootstrapping requires. Every attempt starts from the job's
+// last checkpoint, so a retry after a rank death resumes the stream.
 func (a *Analysis) bsJob(id string, batch, m int, res *Result) *Job {
 	return &Job{
 		ID: id,
@@ -218,68 +216,57 @@ func (a *Analysis) bsJob(id string, batch, m int, res *Result) *Job {
 			if ctx.Canceled() {
 				return ErrCanceled
 			}
-			return ctx.Elastic(a.Pat, a.newSet, func(eng *likelihood.Engine) error {
-				a.prep(eng)
-				cp := &BootstrapCheckpoint{}
-				bs := rng.ForRank(a.Opts.SeedBootstrap, bsSeedBase+batch)
-				pars := rng.ForRank(a.Opts.SeedParsimony, bsParsBase+batch)
-				runner := rapidbs.NewRunner(eng)
-				if a.Opts.BootstrapSettings != nil {
-					runner.SetSearchSettings(*a.Opts.BootstrapSettings)
+			var cp *BootstrapCheckpoint
+			spec := func() (*gridjob.Spec, error) {
+				sp := a.spec(gridjob.Bootstrap, a.Opts.BootstrapSettings, search.Bootstrap())
+				sp.Replicates = m
+				cp = &BootstrapCheckpoint{
+					BsState:   rng.ForRank(a.Opts.SeedBootstrap, bsSeedBase+batch).State(),
+					ParsState: rng.ForRank(a.Opts.SeedParsimony, bsParsBase+batch).State(),
 				}
 				if raw := ctx.Load(); raw != nil {
 					var err error
 					if cp, err = DecodeBootstrapCheckpoint(raw); err != nil {
-						return err
+						return nil, err
 					}
-					bs.SetState(cp.BsState)
-					pars.SetState(cp.ParsState)
 					if cp.PrevTree != "" {
-						prev, err := tree.ParseNewick(cp.PrevTree, a.Pat.Names)
-						if err != nil {
-							return err
+						if sp.Prev, err = tree.ParseNewick(cp.PrevTree, a.Pat.Names); err != nil {
+							return nil, err
 						}
-						runner.SetPrevTree(prev)
 					}
 				}
-				err := runner.RunRange(cp.Done, m-cp.Done, bs, pars, func(rep *rapidbs.Replicate) error {
-					nw, err := tree.FormatNewick(rep.Tree, nil)
-					if err != nil {
-						return err
-					}
-					cp.Done++
-					cp.BsState, cp.ParsState = bs.State(), pars.State()
-					cp.PrevTree = nw
-					cp.Trees = append(cp.Trees, nw)
-					cp.LnLs = append(cp.LnLs, rep.LogLikelihood)
-					ctx.Save(cp.Encode())
-					ctx.g.cfg.Tracer.Event("replicate", ctx.ID(), map[string]any{
-						"index": batch*a.Batch + cp.Done - 1, "lnl": rep.LogLikelihood,
-					})
-					if ctx.Canceled() {
-						return ErrCanceled
-					}
-					return nil
+				sp.Checkpoint = *cp
+				return sp, nil
+			}
+			out, err := ctx.Elastic(a.Pat, spec, func(next *BootstrapCheckpoint) error {
+				cp = next
+				ctx.Save(cp.Encode())
+				ctx.g.cfg.Tracer.Event("replicate", ctx.ID(), map[string]any{
+					"index": batch*a.Batch + cp.Done - 1, "lnl": cp.LnLs[len(cp.LnLs)-1],
 				})
+				if ctx.Canceled() {
+					return ErrCanceled
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			ctx.g.cfg.Tracer.Event("bs-done", ctx.ID(), map[string]any{
+				"replicates": len(cp.Trees), "dispatches": out.Dispatches,
+			})
+			reps := make([]*rapidbs.Replicate, len(cp.Trees))
+			for i, nw := range cp.Trees {
+				t, err := tree.ParseNewick(nw, a.Pat.Names)
 				if err != nil {
 					return err
 				}
-				ctx.g.cfg.Tracer.Event("bs-done", ctx.ID(), map[string]any{
-					"replicates": len(cp.Trees), "dispatches": eng.DispatchCount(),
-				})
-				reps := make([]*rapidbs.Replicate, len(cp.Trees))
-				for i, nw := range cp.Trees {
-					t, err := tree.ParseNewick(nw, a.Pat.Names)
-					if err != nil {
-						return err
-					}
-					reps[i] = &rapidbs.Replicate{Index: batch*a.Batch + i, Tree: t, LogLikelihood: cp.LnLs[i]}
-				}
-				res.mu.Lock()
-				res.Replicates = append(res.Replicates, reps...)
-				res.mu.Unlock()
-				return nil
-			})
+				reps[i] = &rapidbs.Replicate{Index: batch*a.Batch + i, Tree: t, LogLikelihood: cp.LnLs[i]}
+			}
+			res.mu.Lock()
+			res.Replicates = append(res.Replicates, reps...)
+			res.mu.Unlock()
+			return nil
 		},
 	}
 }
@@ -366,13 +353,21 @@ func (a *Analysis) consensusJob(res *Result, deps []string) *Job {
 	}
 }
 
-func (a *Analysis) newSet() (*gtr.PartitionSet, error) {
-	return core.NewPartitionSet(a.Pat, a.Opts)
-}
-
-// prep applies pre-search engine setup shared by every job kind.
-func (a *Analysis) prep(eng *likelihood.Engine) {
-	if a.Opts.EmpiricalFreqs {
-		eng.EstimateEmpiricalFreqs()
+// spec fills the model and search fields every job kind shares:
+// settings is the preset override, def the default preset.
+func (a *Analysis) spec(kind gridjob.Kind, settings *search.Settings, def search.Settings) *gridjob.Spec {
+	sp := &gridjob.Spec{
+		Kind:           kind,
+		Gamma:          a.Opts.Model == core.GTRGAMMA,
+		Alpha:          a.Opts.Alpha,
+		EmpiricalFreqs: a.Opts.EmpiricalFreqs,
+		Settings:       def,
 	}
+	if sp.Alpha <= 0 {
+		sp.Alpha = 1.0 // core.Options' default Γ shape
+	}
+	if settings != nil {
+		sp.Settings = *settings
+	}
+	return sp
 }

@@ -35,10 +35,10 @@ func ParsePHYLIP(r io.Reader) (*Alignment, error) {
 		return nil, fmt.Errorf("msa: non-positive dimensions %d x %d", nTaxa, nChars)
 	}
 
-	a := &Alignment{
-		Names: make([]string, 0, nTaxa),
-		Seqs:  make([][]State, 0, nTaxa),
-	}
+	// The header's counts are claims, not sizes: storage grows with the
+	// records actually present, so a hostile header cannot make the
+	// parser allocate for taxa that are not there.
+	a := &Alignment{}
 	appendStates := func(dst []State, s string) []State {
 		for i := 0; i < len(s); i++ {
 			b := s[i]
