@@ -284,9 +284,21 @@ func TestDialRetrySurvivesLateListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer star.Close()
-	go star.AcceptLink()
+	// Join the acceptor before returning: it reads HelloTimeout, which
+	// withTimeouts' cleanup restores.
+	accepted := make(chan error, 1)
+	go func() {
+		link, _, err := star.AcceptLink()
+		if err == nil {
+			link.Close()
+		}
+		accepted <- err
+	}()
 	if err := <-done; err != nil {
 		t.Fatalf("DialStar with a late listener: %v", err)
+	}
+	if err := <-accepted; err != nil {
+		t.Fatalf("AcceptLink: %v", err)
 	}
 }
 

@@ -97,6 +97,75 @@ func BenchmarkNewviewArena(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertionScan measures the lazy-SPR insertion loop — one
+// EvaluateInsertion per op over warm CLVs, cycling through the regraft
+// candidates of one dangling subtree — on the 1288-pattern workload
+// under both rate treatments: the three-way site kernel, the batched
+// site log and the serial reduction, plus one dispatch. Report-only
+// (not in BENCH_BASELINE.json); ns/pattern divides an op by the pattern
+// count.
+func BenchmarkInsertionScan(b *testing.B) {
+	pat := bench1288Patterns(b)
+	cases := []struct {
+		name  string
+		rates func() *gtr.RateCategories
+	}{
+		{"CAT", func() *gtr.RateCategories {
+			r := rng.New(5)
+			perSite := make([]float64, pat.NumPatterns())
+			for i := range perSite {
+				perSite[i] = 0.25 + 2*r.Float64()
+			}
+			return gtr.ClusterCAT(perSite, 25)
+		}},
+		{"GAMMA", func() *gtr.RateCategories {
+			rc, err := gtr.NewGamma(0.8, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return rc
+		}},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			pool := threads.NewPool(1, pat.NumPatterns())
+			defer pool.Close()
+			e, err := New(pat, gtr.Default(), tc.rates(), Config{Pool: pool})
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr := tree.Random(pat.Names, rng.New(3))
+			if err := e.AttachTree(tr); err != nil {
+				b.Fatal(err)
+			}
+			// Prune the subtree hanging off the first internal edge.
+			var root, attach int
+			for _, ed := range tr.Edges() {
+				if !tr.Nodes[ed.A].IsTip() && !tr.Nodes[ed.B].IsTip() {
+					root, attach = ed.A, ed.B
+					break
+				}
+			}
+			p, err := tr.DanglingPrune(root, attach)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e.InvalidateAll()
+			cands := tr.RegraftCandidates(p, 4)
+			for _, c := range cands { // warm every candidate's CLVs
+				_ = e.EvaluateInsertion(root, p.Attach, c.A, c.B)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := cands[i%len(cands)]
+				_ = e.EvaluateInsertion(root, p.Attach, c.A, c.B)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pat.NumPatterns()), "ns/pattern")
+		})
+	}
+}
+
 // bench1288Alignment is the uncompressed form of the 1288-pattern
 // workload, for partitioned compression.
 func bench1288Alignment(b *testing.B) *msa.Alignment {

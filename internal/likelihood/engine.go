@@ -171,7 +171,8 @@ type Engine struct {
 
 	// kern is the kernel implementation set bound at construction
 	// (kernels_dispatch.go): scalar reference or AVX2 assembly for the
-	// two hottest loops, selected by the process-wide SetKernelMode.
+	// hot loops of both rate models, selected by the process-wide
+	// SetKernelMode.
 	kern *kernelTable
 
 	// The flat CLV arena. arena holds nTiles tiles of tileFloats
@@ -194,6 +195,12 @@ type Engine struct {
 	nTiles     int
 	tileFloats int
 	tileScale  int
+
+	// siteBuf holds one siteStride row of site-value scratch per local
+	// worker for the batched evaluate and insertion-scan reductions
+	// (siteScratch). It lives on the heap because a stack buffer handed
+	// to a kernel-table func value escapes, one allocation per call.
+	siteBuf []float64
 
 	// valid[node*3+slot] marks CLVs consistent with the current tree.
 	valid []bool
@@ -407,6 +414,7 @@ func build(pat *msa.Patterns, spans []msa.PartRange, set *gtr.PartitionSet, cfg 
 	} else {
 		e.pool = threads.NewPool(1, e.nPatterns)
 	}
+	e.siteBuf = make([]float64, e.pool.Workers()*siteStride)
 	// Snap worker stripe boundaries — relative to the starts of the
 	// segments laid out above (NOT pat.PartStarts(): New() spans a
 	// partitioned Patterns with ONE segment, and only segment starts

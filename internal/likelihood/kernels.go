@@ -43,13 +43,16 @@ import (
 // the rest of the chain, so the common case costs one predictable
 // branch per category (a running-maximum formulation costs four
 // data-dependent branches and mispredicts constantly; the AVX2 path
-// reaches the same decision branchlessly via VMAXPD and one compare —
-// "all lanes below threshold" ⟺ "max lane below threshold"). newview
-// processes every pattern unconditionally: the weight-zero skip is
-// lifted out of the newview inner loops entirely (zero-weight CLV lanes
-// are computed and ignored downstream — cheaper than a per-pattern
-// branch), while the log-space reduction kernels keep it (they would
-// otherwise pay a log per dead pattern).
+// reaches the same decision branchlessly via VMAXPD, or VCMPPD and one
+// mask test — "all lanes below threshold" ⟺ "max lane below
+// threshold"). newview processes every pattern unconditionally: the
+// weight-zero skip is lifted out of the newview inner loops entirely
+// (zero-weight CLV lanes are computed and ignored downstream — cheaper
+// than a per-pattern branch). The log-space reductions stage site
+// values logBatch patterns at a time, take their logs four lanes at a
+// time (log4), and keep the weight-zero skip in the serial sum that
+// follows; the CAT site kernels compute dead patterns branchlessly,
+// the GAMMA site loops skip them.
 //
 // The newview kernels are written against the flat CLV arena: each
 // worker materializes its contiguous pattern stripe of the destination
@@ -57,10 +60,11 @@ import (
 // combinations (tip x tip, tip x inner, inner x inner) and the two rate
 // treatments are specialized so the inner loop carries no per-pattern
 // branches beyond the rescale test. Tip children cost four lookup-table
-// loads instead of a 4x4 matrix-vector product. The hottest shape —
-// GAMMA inner×inner at nCat == 4 — and the makenewz core loop go
-// through the engine's kernel table (kernels_dispatch.go), where an
-// AVX2 assembly implementation can replace the scalar reference.
+// loads instead of a 4x4 matrix-vector product. The nCat == 4 GAMMA
+// and the CAT newview shapes, the CAT site kernels of evaluate and the
+// insertion scan, the site log and the makenewz core loop go through
+// the engine's kernel table (kernels_dispatch.go), where an AVX2
+// assembly implementation can replace the scalar reference.
 
 // childView describes one input of an evaluate-side kernel: either a
 // tip (flat 4-wide vector over global patterns, no scaling) or an
@@ -139,10 +143,10 @@ func (e *Engine) newviewRange(ent *travEntry, r threads.Range) {
 // newviewChunkCAT is the nCat == 1 (per-pattern rate category) newview
 // over one partition chunk [lo, hi) (global pattern indices): one
 // 4-wide block per pattern, transition matrices selected by the
-// pattern's category within the partition's matrix block.
+// pattern's category within the partition's matrix block. All three
+// child-kind combinations dispatch through the engine's kernel table.
 func (e *Engine) newviewChunkCAT(ent *travEntry, ps *partState, lo, hi int) {
 	l0, l1 := lo-ps.lo, hi-ps.lo // segment-local pattern window
-	n := l1 - l0
 	dBase := ent.dstOff + ps.fOff
 	dst := e.arena[dBase+l0*4 : dBase+l1*4 : dBase+l1*4]
 	sBase := ent.dstScaleOff + ps.sOff
@@ -159,26 +163,7 @@ func (e *Engine) newviewChunkCAT(ent *travEntry, ps *partState, lo, hi int) {
 		codesR := e.pat.Data[right.taxon][lo:hi]
 		lutL := ent.lutL[64*ps.pOff : 64*(ps.pOff+npc)]
 		lutR := ent.lutR[64*ps.pOff : 64*(ps.pOff+npc)]
-		for k := 0; k < n; k++ {
-			pc := pcat[k]
-			l := (*[4]float64)(lutL[(int(codesL[k])*npc+pc)*4:])
-			rr := (*[4]float64)(lutR[(int(codesR[k])*npc+pc)*4:])
-			v0 := l[0] * rr[0]
-			v1 := l[1] * rr[1]
-			v2 := l[2] * rr[2]
-			v3 := l[3] * rr[3]
-			var sc int32
-			if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
-				v0 *= scaleFactor
-				v1 *= scaleFactor
-				v2 *= scaleFactor
-				v3 *= scaleFactor
-				sc = 1
-			}
-			d := (*[4]float64)(dst[k*4:])
-			d[0], d[1], d[2], d[3] = v0, v1, v2, v3
-			dsc[k] = sc
-		}
+		e.kern.newviewTTCAT(dst, codesL, codesR, pcat, lutL, lutR, dsc)
 
 	case left.tip != right.tip:
 		// Normalize: tip contribution from the lookup table, inner
@@ -196,28 +181,7 @@ func (e *Engine) newviewChunkCAT(ent *travEntry, ps *partState, lo, hi int) {
 		iv := e.arena[iBase+l0*4 : iBase+l1*4 : iBase+l1*4]
 		isBase := inner.scaleOff + ps.sOff
 		isc := e.scaleArena[isBase+l0 : isBase+l1 : isBase+l1]
-		for k := 0; k < n; k++ {
-			pc := pcat[k]
-			t := (*[4]float64)(lut[(int(codes[k])*npc+pc)*4:])
-			c := (*[4]float64)(iv[k*4:])
-			c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-			p := &pm[pc]
-			v0 := t[0] * ((p[0]*c0 + p[1]*c1) + (p[2]*c2 + p[3]*c3))
-			v1 := t[1] * ((p[4]*c0 + p[5]*c1) + (p[6]*c2 + p[7]*c3))
-			v2 := t[2] * ((p[8]*c0 + p[9]*c1) + (p[10]*c2 + p[11]*c3))
-			v3 := t[3] * ((p[12]*c0 + p[13]*c1) + (p[14]*c2 + p[15]*c3))
-			sc := isc[k]
-			if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
-				v0 *= scaleFactor
-				v1 *= scaleFactor
-				v2 *= scaleFactor
-				v3 *= scaleFactor
-				sc++
-			}
-			d := (*[4]float64)(dst[k*4:])
-			d[0], d[1], d[2], d[3] = v0, v1, v2, v3
-			dsc[k] = sc
-		}
+		e.kern.newviewTICAT(dst, codes, pcat, lut, iv, pm, isc, dsc)
 
 	default: // inner x inner
 		lBase := left.off + ps.fOff
@@ -228,33 +192,98 @@ func (e *Engine) newviewChunkCAT(ent *travEntry, ps *partState, lo, hi int) {
 		rsBase := right.scaleOff + ps.sOff
 		lsc := e.scaleArena[lsBase+l0 : lsBase+l1 : lsBase+l1]
 		rsc := e.scaleArena[rsBase+l0 : rsBase+l1 : rsBase+l1]
-		for k := 0; k < n; k++ {
-			pc := pcat[k]
-			l := (*[4]float64)(lv[k*4:])
-			rr := (*[4]float64)(rv[k*4:])
-			c0, c1, c2, c3 := l[0], l[1], l[2], l[3]
-			e0, e1, e2, e3 := rr[0], rr[1], rr[2], rr[3]
-			pa, pb := &pL[pc], &pR[pc]
-			v0 := ((pa[0]*c0 + pa[1]*c1) + (pa[2]*c2 + pa[3]*c3)) *
-				((pb[0]*e0 + pb[1]*e1) + (pb[2]*e2 + pb[3]*e3))
-			v1 := ((pa[4]*c0 + pa[5]*c1) + (pa[6]*c2 + pa[7]*c3)) *
-				((pb[4]*e0 + pb[5]*e1) + (pb[6]*e2 + pb[7]*e3))
-			v2 := ((pa[8]*c0 + pa[9]*c1) + (pa[10]*c2 + pa[11]*c3)) *
-				((pb[8]*e0 + pb[9]*e1) + (pb[10]*e2 + pb[11]*e3))
-			v3 := ((pa[12]*c0 + pa[13]*c1) + (pa[14]*c2 + pa[15]*c3)) *
-				((pb[12]*e0 + pb[13]*e1) + (pb[14]*e2 + pb[15]*e3))
-			sc := lsc[k] + rsc[k]
-			if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
-				v0 *= scaleFactor
-				v1 *= scaleFactor
-				v2 *= scaleFactor
-				v3 *= scaleFactor
-				sc++
-			}
-			d := (*[4]float64)(dst[k*4:])
-			d[0], d[1], d[2], d[3] = v0, v1, v2, v3
-			dsc[k] = sc
+		e.kern.newviewIICAT(dst, lv, rv, pcat, pL, pR, lsc, rsc, dsc)
+	}
+}
+
+// newviewTTCATScalar is the scalar reference of the CAT tip×tip
+// newview: per pattern, the elementwise product of each child's
+// lookup-table block for (code, category). Each table holds 16 codes ×
+// npc categories × 4 lanes, npc = len(lutL)/64.
+func newviewTTCATScalar(dst []float64, codesL, codesR []msa.State, cat []int, lutL, lutR []float64, dsc []int32) {
+	npc := len(lutL) / 64
+	for k := 0; k < len(dsc); k++ {
+		pc := cat[k]
+		l := (*[4]float64)(lutL[(int(codesL[k])*npc+pc)*4:])
+		rr := (*[4]float64)(lutR[(int(codesR[k])*npc+pc)*4:])
+		v0 := l[0] * rr[0]
+		v1 := l[1] * rr[1]
+		v2 := l[2] * rr[2]
+		v3 := l[3] * rr[3]
+		var sc int32
+		if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
+			v0 *= scaleFactor
+			v1 *= scaleFactor
+			v2 *= scaleFactor
+			v3 *= scaleFactor
+			sc = 1
 		}
+		d := (*[4]float64)(dst[k*4:])
+		d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+		dsc[k] = sc
+	}
+}
+
+// newviewTICATScalar is the scalar reference of the CAT tip×inner
+// newview: the inner child's lanes go through the pattern's category
+// matrix pm[cat[k]], the tip's lookup-table block is an elementwise
+// factor.
+func newviewTICATScalar(dst []float64, codes []msa.State, cat []int, lut, iv []float64, pm [][16]float64, isc, dsc []int32) {
+	npc := len(lut) / 64
+	for k := 0; k < len(dsc); k++ {
+		pc := cat[k]
+		t := (*[4]float64)(lut[(int(codes[k])*npc+pc)*4:])
+		c := (*[4]float64)(iv[k*4:])
+		c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+		p := &pm[pc]
+		v0 := t[0] * ((p[0]*c0 + p[1]*c1) + (p[2]*c2 + p[3]*c3))
+		v1 := t[1] * ((p[4]*c0 + p[5]*c1) + (p[6]*c2 + p[7]*c3))
+		v2 := t[2] * ((p[8]*c0 + p[9]*c1) + (p[10]*c2 + p[11]*c3))
+		v3 := t[3] * ((p[12]*c0 + p[13]*c1) + (p[14]*c2 + p[15]*c3))
+		sc := isc[k]
+		if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
+			v0 *= scaleFactor
+			v1 *= scaleFactor
+			v2 *= scaleFactor
+			v3 *= scaleFactor
+			sc++
+		}
+		d := (*[4]float64)(dst[k*4:])
+		d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+		dsc[k] = sc
+	}
+}
+
+// newviewIICATScalar is the scalar reference of the CAT inner×inner
+// newview: both children through their category matrices
+// pL[cat[k]]/pR[cat[k]], lane products, one rescale test per pattern.
+func newviewIICATScalar(dst, lv, rv []float64, cat []int, pL, pR [][16]float64, lsc, rsc, dsc []int32) {
+	for k := 0; k < len(dsc); k++ {
+		pc := cat[k]
+		l := (*[4]float64)(lv[k*4:])
+		rr := (*[4]float64)(rv[k*4:])
+		c0, c1, c2, c3 := l[0], l[1], l[2], l[3]
+		e0, e1, e2, e3 := rr[0], rr[1], rr[2], rr[3]
+		pa, pb := &pL[pc], &pR[pc]
+		v0 := ((pa[0]*c0 + pa[1]*c1) + (pa[2]*c2 + pa[3]*c3)) *
+			((pb[0]*e0 + pb[1]*e1) + (pb[2]*e2 + pb[3]*e3))
+		v1 := ((pa[4]*c0 + pa[5]*c1) + (pa[6]*c2 + pa[7]*c3)) *
+			((pb[4]*e0 + pb[5]*e1) + (pb[6]*e2 + pb[7]*e3))
+		v2 := ((pa[8]*c0 + pa[9]*c1) + (pa[10]*c2 + pa[11]*c3)) *
+			((pb[8]*e0 + pb[9]*e1) + (pb[10]*e2 + pb[11]*e3))
+		v3 := ((pa[12]*c0 + pa[13]*c1) + (pa[14]*c2 + pa[15]*c3)) *
+			((pb[12]*e0 + pb[13]*e1) + (pb[14]*e2 + pb[15]*e3))
+		sc := lsc[k] + rsc[k]
+		if v0 < scaleThreshold && v1 < scaleThreshold && v2 < scaleThreshold && v3 < scaleThreshold {
+			v0 *= scaleFactor
+			v1 *= scaleFactor
+			v2 *= scaleFactor
+			v3 *= scaleFactor
+			sc++
+		}
+		d := (*[4]float64)(dst[k*4:])
+		d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+		dsc[k] = sc
 	}
 }
 
@@ -524,6 +553,57 @@ func boolIdx(cond bool, a, b int) int {
 	return b
 }
 
+// logBatch is the number of patterns whose site values the evaluate
+// and insertion-scan reductions stage in a worker's scratch row
+// (Engine.siteBuf) before taking their logs in one log4 call;
+// siteStride spaces the rows a cache line apart.
+const (
+	logBatch   = 64
+	siteStride = logBatch + 8
+)
+
+// siteScratch returns worker w's row of site-value scratch.
+func (e *Engine) siteScratch(w int) []float64 {
+	o := w * siteStride
+	return e.siteBuf[o : o+logBatch : o+logBatch]
+}
+
+// sumSiteLogs folds the site logs lg of patterns [lo, lo+len(lg)) of
+// partition ps into sum in pattern order: sum += w·(log − scale terms),
+// the terms of the views with scale counters sa, sb, sc (nil for tips
+// and absent views) subtracted in that order; zero-weight patterns are
+// skipped. Batching the logs leaves every reduction exactly the serial
+// per-pattern sum.
+func (e *Engine) sumSiteLogs(sum float64, lg []float64, ps *partState, lo int, sa, sb, sc []int32) float64 {
+	w := e.weights[lo : lo+len(lg)]
+	so := ps.sOff + lo - ps.lo
+	for i, wk := range w {
+		if wk == 0 {
+			continue
+		}
+		v := lg[i]
+		if sa != nil {
+			v -= float64(sa[so+i]) * logScaleFactor
+		}
+		if sb != nil {
+			v -= float64(sb[so+i]) * logScaleFactor
+		}
+		if sc != nil {
+			v -= float64(sc[so+i]) * logScaleFactor
+		}
+		sum += float64(wk) * v
+	}
+	return sum
+}
+
+// catView returns the lane blocks of CAT view v over global patterns
+// [lo, hi) of partition ps: 4 floats per pattern for tips and inner
+// CLVs alike.
+func catView(v *childView, ps *partState, lo, hi int) []float64 {
+	a0, _, _ := viewCoeffs(v, ps)
+	return v.vec[a0+lo*4 : a0+hi*4 : a0+hi*4]
+}
+
 // evaluateRange computes one worker's weighted log-likelihood partial
 // across the edge whose endpoint views the master stored in jobVA and
 // jobVB, using the per-partition transition matrices already in pEval.
@@ -535,11 +615,17 @@ func boolIdx(cond bool, a, b int) int {
 // this worker's range (wide rows are not cleared between jobs).
 func (e *Engine) evaluateRange(w int, r threads.Range) float64 {
 	ws := e.pool.WideSlot(w)
+	site := e.siteScratch(w)
 	sum := 0.0
 	for pi := range e.parts {
 		c := 0.0
 		if ps, lo, hi, ok := e.chunkOf(pi, r); ok {
-			c = e.evaluateChunk(ps, lo, hi)
+			for b := lo; b < hi; b += logBatch {
+				s := site[:min(logBatch, hi-b)]
+				e.edgeSites(s, ps, b)
+				e.kern.log4(s)
+				c = e.sumSiteLogs(c, s, ps, b, e.jobVA.scale, e.jobVB.scale, nil)
+			}
 		}
 		ws[pi] = c
 		sum += c
@@ -547,34 +633,35 @@ func (e *Engine) evaluateRange(w int, r threads.Range) float64 {
 	return sum
 }
 
-func (e *Engine) evaluateChunk(ps *partState, lo, hi int) float64 {
-	va := e.jobVA
-	vb := e.jobVB
+// edgeSites writes the clamped site likelihood across the edge views
+// jobVA/jobVB of patterns [lo, lo+len(site)) of partition ps. CAT goes
+// through the kernel table; GAMMA mixes its categories by probability
+// here and writes 1 (log 0) for zero-weight patterns, which every
+// consumer skips.
+func (e *Engine) edgeSites(site []float64, ps *partState, lo int) {
+	va, vb := &e.jobVA, &e.jobVB
+	hi := lo + len(site)
+	pEval := e.pEval[ps.pOff:]
+	if e.isCAT {
+		npc := ps.rates.NumCats()
+		e.kern.evalSiteCAT(site, catView(va, ps, lo, hi), catView(vb, ps, lo, hi),
+			ps.rates.PatternCategory[lo-ps.lo:hi-ps.lo], pEval[:npc], &ps.model.Freqs)
+		return
+	}
 	nCat := e.nCat
 	freqs := ps.model.Freqs
-	pEval := e.pEval[ps.pOff:]
-	var pcat []int
-	if e.isCAT {
-		pcat = ps.rates.PatternCategory
-	}
 	probs := ps.rates.Probs
-	a0, aStep, aCat := viewCoeffs(&va, ps)
-	b0, bStep, bCat := viewCoeffs(&vb, ps)
-
-	sum := 0.0
-	for k := lo; k < hi; k++ {
-		wk := e.weights[k]
-		if wk == 0 {
+	a0, aStep, aCat := viewCoeffs(va, ps)
+	b0, bStep, bCat := viewCoeffs(vb, ps)
+	for i := range site {
+		k := lo + i
+		if e.weights[k] == 0 {
+			site[i] = 1
 			continue
 		}
-		lk := k - ps.lo
-		var site float64
+		var sv float64
 		for cat := 0; cat < nCat; cat++ {
-			pc := cat
-			if pcat != nil {
-				pc = pcat[lk]
-			}
-			p := &pEval[pc]
+			p := &pEval[cat]
 			av := (*[4]float64)(va.vec[a0+k*aStep+cat*aCat:])
 			bv := (*[4]float64)(vb.vec[b0+k*bStep+cat*bCat:])
 			vb0, vb1, vb2, vb3 := bv[0], bv[1], bv[2], bv[3]
@@ -587,89 +674,63 @@ func (e *Engine) evaluateChunk(ps *partState, lo, hi int) float64 {
 				dot := (p[s*4]*vb0 + p[s*4+1]*vb1) + (p[s*4+2]*vb2 + p[s*4+3]*vb3)
 				catL += freqs[s] * as * dot
 			}
-			if e.isCAT {
-				site = catL
-			} else {
-				site += probs[cat] * catL
-			}
+			sv += probs[cat] * catL
 		}
-		logSite := math.Log(math.Max(site, math.SmallestNonzeroFloat64))
-		if va.scale != nil {
-			logSite -= float64(va.scale[ps.sOff+lk]) * logScaleFactor
-		}
-		if vb.scale != nil {
-			logSite -= float64(vb.scale[ps.sOff+lk]) * logScaleFactor
-		}
-		sum += float64(wk) * logSite
+		site[i] = math.Max(sv, math.SmallestNonzeroFloat64)
 	}
-	return sum
+}
+
+// evalSiteCATScalar is the scalar reference of the CAT evaluate site
+// kernel: per pattern, the frequency-weighted join of the two edge
+// views through the pattern's category matrix pm[cat[k]], skipping
+// zero lanes of av, clamped at math.SmallestNonzeroFloat64.
+func evalSiteCATScalar(site, av, bv []float64, cat []int, pm [][16]float64, freqs *[4]float64) {
+	for k := range site {
+		p := &pm[cat[k]]
+		a := (*[4]float64)(av[k*4:])
+		b := (*[4]float64)(bv[k*4:])
+		vb0, vb1, vb2, vb3 := b[0], b[1], b[2], b[3]
+		catL := 0.0
+		for s := 0; s < 4; s++ {
+			as := a[s]
+			if as == 0 {
+				continue
+			}
+			dot := (p[s*4]*vb0 + p[s*4+1]*vb1) + (p[s*4+2]*vb2 + p[s*4+3]*vb3)
+			catL += freqs[s] * as * dot
+		}
+		site[k] = math.Max(catL, math.SmallestNonzeroFloat64)
+	}
 }
 
 // siteLLRange fills one worker's window of jobDst with per-pattern log
 // likelihoods at the edge views in jobVA/jobVB. Zero-weight patterns
-// get 0.
+// get 0. The window itself stages the site values and their logs.
 func (e *Engine) siteLLRange(r threads.Range) {
 	for pi := range e.parts {
 		ps, lo, hi, ok := e.chunkOf(pi, r)
-		if ok {
-			e.siteLLChunk(ps, lo, hi)
-		}
-	}
-}
-
-func (e *Engine) siteLLChunk(ps *partState, lo, hi int) {
-	va := e.jobVA
-	vb := e.jobVB
-	dst := e.jobDst
-	nCat := e.nCat
-	freqs := ps.model.Freqs
-	pEval := e.pEval[ps.pOff:]
-	var pcat []int
-	if e.isCAT {
-		pcat = ps.rates.PatternCategory
-	}
-	probs := ps.rates.Probs
-	a0, aStep, aCat := viewCoeffs(&va, ps)
-	b0, bStep, bCat := viewCoeffs(&vb, ps)
-	for k := lo; k < hi; k++ {
-		if e.weights[k] == 0 {
-			dst[k] = 0
+		if !ok {
 			continue
 		}
-		lk := k - ps.lo
-		var site float64
-		for cat := 0; cat < nCat; cat++ {
-			pc := cat
-			if pcat != nil {
-				pc = pcat[lk]
+		dst := e.jobDst[lo:hi]
+		e.edgeSites(dst, ps, lo)
+		e.kern.log4(dst)
+		sa, sb := e.jobVA.scale, e.jobVB.scale
+		so := ps.sOff + lo - ps.lo
+		for i, wk := range e.weights[lo:hi] {
+			if wk == 0 {
+				dst[i] = 0
+				continue
 			}
-			p := &pEval[pc]
-			av := (*[4]float64)(va.vec[a0+k*aStep+cat*aCat:])
-			bv := (*[4]float64)(vb.vec[b0+k*bStep+cat*bCat:])
-			vb0, vb1, vb2, vb3 := bv[0], bv[1], bv[2], bv[3]
-			catL := 0.0
-			for s := 0; s < 4; s++ {
-				as := av[s]
-				if as == 0 {
-					continue
-				}
-				dot := (p[s*4]*vb0 + p[s*4+1]*vb1) + (p[s*4+2]*vb2 + p[s*4+3]*vb3)
-				catL += freqs[s] * as * dot
+			v := dst[i]
+			if sa != nil {
+				v -= float64(sa[so+i]) * logScaleFactor
 			}
-			if e.isCAT {
-				site = catL
-			} else {
-				site += probs[cat] * catL
+			if sb != nil {
+				v -= float64(sb[so+i]) * logScaleFactor
 			}
+			dst[i] = v
 		}
-		logSite := math.Log(math.Max(site, math.SmallestNonzeroFloat64))
-		if va.scale != nil {
-			logSite -= float64(va.scale[ps.sOff+lk]) * logScaleFactor
-		}
-		if vb.scale != nil {
-			logSite -= float64(vb.scale[ps.sOff+lk]) * logScaleFactor
-		}
-		dst[k] = logSite
 	}
 }
 

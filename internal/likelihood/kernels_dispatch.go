@@ -7,15 +7,17 @@ import (
 	"raxml/internal/msa"
 )
 
-// Kernel dispatch. The two hottest inner loops — the nCat == 4 GAMMA
-// inner×inner newview and the makenewz core reduction — are reached
-// through a per-engine kernel table bound at construction, so an
-// AVX2 assembly implementation (kernels_amd64.s, amd64 && !purego
-// builds) can replace the scalar reference without a branch inside the
-// pattern loop. The scalar functions are the pinned reference: the asm
-// performs the same pairwise-associated IEEE operations and the
-// equivalence fuzz test holds the two bit-identical. docs/kernels.md
-// describes the table and the selection rules.
+// Kernel dispatch. The hot inner loops of both rate models — the
+// nCat == 4 GAMMA newview shapes and makenewz core reduction, the CAT
+// newview shapes, the insertion-scan and evaluate site kernels of CAT,
+// and the batched site-log — are reached through a per-engine kernel
+// table bound at construction, so an AVX2 assembly implementation
+// (kernels_amd64.s, amd64 && !purego builds) can replace the scalar
+// reference without a branch inside the pattern loop. The scalar
+// functions are the pinned reference: the asm performs the same
+// IEEE operations in the same order and the equivalence tests hold the
+// two bit-identical. docs/kernels.md describes the table and the
+// selection rules.
 
 // KernelMode selects which kernel implementations newly constructed
 // engines bind: the platform's best available set (auto), the portable
@@ -28,23 +30,43 @@ const (
 	KernelAVX2
 )
 
-// kernelTable is one bound implementation set, covering the three
-// nCat==4 GAMMA newview shapes and the makenewz core reduction.
-// newviewII4 combines n inner×inner patterns (dst/lv/rv are n·16-float
-// lane blocks, pL/pR four flat matrices per child, lsc/rsc/dsc the n
-// scale counters); newviewTT4 combines two tips through their 256-float
-// (16 codes × 16 lanes) lookup tables; newviewTI4 combines a tip's
-// table block with an inner child pushed through the four matrices pm;
-// mkzCoreG4 reduces the Newton d1/d2 partials of n patterns from their
-// 16-entry sumtable blocks and the probability-folded exponential
-// factor block pw (pw[0:16] = Σ-weights for L, [16:32] for d1, [32:48]
-// for d2).
+// kernelTable is one bound implementation set.
+//
+// GAMMA (nCat == 4): newviewII4 combines n inner×inner patterns
+// (dst/lv/rv are n·16-float lane blocks, pL/pR four flat matrices per
+// child, lsc/rsc/dsc the n scale counters); newviewTT4 combines two tips
+// through their 256-float (16 codes × 16 lanes) lookup tables;
+// newviewTI4 combines a tip's table block with an inner child pushed
+// through the four matrices pm; mkzCoreG4 reduces the Newton d1/d2
+// partials of n patterns from their 16-entry sumtable blocks and the
+// probability-folded exponential factor block pw (pw[0:16] = Σ-weights
+// for L, [16:32] for d1, [32:48] for d2).
+//
+// CAT (one rate category per pattern): every pattern is one 4-float
+// lane block and cat[k] selects its matrix among the partition's
+// category matrices (its lookup-table block among the 64-float
+// per-category blocks of each of the 16 codes). newviewTTCAT,
+// newviewTICAT and newviewIICAT are the three newview shapes;
+// scanSiteCAT writes the insertion-scan site value of each pattern
+// (the three-way join at the would-be junction), evalSiteCAT the
+// evaluate/site-lnL site value across one edge. Both clamp the site
+// at math.SmallestNonzeroFloat64 with math.Max.
+//
+// log4 replaces every element of v by its natural log, bit for bit
+// math.Log, four lanes at a time where the platform has them.
 type kernelTable struct {
 	name       string
 	newviewII4 func(dst, lv, rv []float64, pL, pR [][16]float64, lsc, rsc, dsc []int32)
 	newviewTT4 func(dst []float64, codesL, codesR []msa.State, lutL, lutR []float64, dsc []int32)
 	newviewTI4 func(dst []float64, codes []msa.State, lut, iv []float64, pm [][16]float64, isc, dsc []int32)
 	mkzCoreG4  func(tbl []float64, w []int, pw *[48]float64) (d1, d2 float64)
+
+	newviewTTCAT func(dst []float64, codesL, codesR []msa.State, cat []int, lutL, lutR []float64, dsc []int32)
+	newviewTICAT func(dst []float64, codes []msa.State, cat []int, lut, iv []float64, pm [][16]float64, isc, dsc []int32)
+	newviewIICAT func(dst, lv, rv []float64, cat []int, pL, pR [][16]float64, lsc, rsc, dsc []int32)
+	scanSiteCAT  func(site, xv, yv, sv []float64, cat []int, px, py, pe [][16]float64, freqs *[4]float64)
+	evalSiteCAT  func(site, av, bv []float64, cat []int, pm [][16]float64, freqs *[4]float64)
+	log4         func(v []float64)
 }
 
 var scalarKernels = kernelTable{
@@ -53,6 +75,13 @@ var scalarKernels = kernelTable{
 	newviewTT4: newviewTT4Scalar,
 	newviewTI4: newviewTI4Scalar,
 	mkzCoreG4:  mkzCoreG4Scalar,
+
+	newviewTTCAT: newviewTTCATScalar,
+	newviewTICAT: newviewTICATScalar,
+	newviewIICAT: newviewIICATScalar,
+	scanSiteCAT:  scanSiteCATScalar,
+	evalSiteCAT:  evalSiteCATScalar,
+	log4:         log4Scalar,
 }
 
 // kernelMode is the process-wide selection applied to engines built
@@ -148,4 +177,12 @@ func mkzCoreG4Scalar(tbl []float64, w []int, pw *[48]float64) (d1, d2 float64) {
 		s2 += float64(wk) * (siteD2*inv - ratio*ratio)
 	}
 	return s1, s2
+}
+
+// log4Scalar is the reference of the batched site log: math.Log, one
+// lane at a time.
+func log4Scalar(v []float64) {
+	for i, x := range v {
+		v[i] = math.Log(x)
+	}
 }

@@ -775,6 +775,12 @@ func (e *Engine) ApplyWireModel(m *WireModel, g *WorkerGeom) error {
 				return fmt.Errorf("likelihood: model sync partition %d: %d assignments, need [%d, %d)",
 					li, len(wp.CatAssign), off, off+n)
 			}
+			for _, c := range wp.CatAssign[off : off+n] {
+				if uint(c) >= uint(len(wp.CatRates)) {
+					return fmt.Errorf("likelihood: model sync partition %d: category %d outside [0, %d)",
+						li, c, len(wp.CatRates))
+				}
+			}
 			rc.Rates = append(rc.Rates[:0], wp.CatRates...)
 			rc.PatternCategory = append(rc.PatternCategory[:0], wp.CatAssign[off:off+n]...)
 		} else {
@@ -1155,6 +1161,11 @@ func DecodeWorkerInit(buf []byte) (*WorkerInit, error) {
 	for i := range data {
 		row := make([]msa.State, nPat)
 		for k := range row {
+			// Tip lookup tables hold the 16 4-bit codes; the kernels
+			// index them by state without a bounds check.
+			if r.b[r.off] > byte(msa.Gap) {
+				return nil, fmt.Errorf("likelihood: worker init taxon %d pattern %d: state %#x is not a 4-bit code", i, k, r.b[r.off])
+			}
 			row[k] = msa.State(r.b[r.off])
 			r.off++
 		}

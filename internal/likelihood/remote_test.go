@@ -357,3 +357,60 @@ func TestWireJobDeltaRefs(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyWireModelRejectsBadCategory: a model-sync block whose CAT
+// assignment names a category outside its own rate list is refused
+// with an error, before any kernel indexes a matrix with it.
+func TestApplyWireModelRejectsBadCategory(t *testing.T) {
+	r := rng.New(9)
+	pat := randomPatterns(t, r, 5, 40)
+	n := pat.NumPatterns()
+	ones := make([]float64, n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	e := newEngine(t, pat, gtr.Default(), gtr.ClusterCAT(ones, 1), 1)
+	g := &WorkerGeom{StripeLo: 0, StripeHi: n, MasterParts: 1, PartMap: []int{0}, ClipOff: []int{0}}
+	model := func(bad int) *WireModel {
+		assign := make([]int, n)
+		assign[n-1] = bad
+		return &WireModel{
+			Weights: pat.Weights, IsCAT: true,
+			Parts: []WireModelPart{{
+				Rates: [6]float64{1, 2, 1, 1, 2, 1}, Freqs: [4]float64{0.25, 0.25, 0.25, 0.25},
+				CatRates: []float64{0.5, 1.5}, CatAssign: assign,
+			}},
+		}
+	}
+	if err := e.ApplyWireModel(model(1), g); err != nil {
+		t.Fatalf("valid block refused: %v", err)
+	}
+	for _, bad := range []int{2, -1} {
+		if err := e.ApplyWireModel(model(bad), g); err == nil {
+			t.Fatalf("category %d of 2 accepted", bad)
+		}
+	}
+}
+
+// TestWorkerInitRejectsBadState: a worker init frame carrying a tip
+// state outside the 16 4-bit codes is refused, since the tip lookup
+// tables the kernels index by state have only those 16 blocks.
+func TestWorkerInitRejectsBadState(t *testing.T) {
+	r := rng.New(6)
+	pat := randomPatterns(t, r, 4, 30)
+	in := &WorkerInit{
+		Rank: 1, Ranks: 2, Threads: 1,
+		Geom: WorkerGeom{
+			StripeLo: 0, StripeHi: pat.NumPatterns(), MasterParts: pat.NumParts(),
+			PartMap: []int{0}, ClipOff: []int{0},
+		},
+		Pat: pat, IsCAT: true, NCats: 1,
+	}
+	if _, err := DecodeWorkerInit(EncodeWorkerInit(in)); err != nil {
+		t.Fatalf("valid init refused: %v", err)
+	}
+	pat.Data[2][3] = 0x10
+	if _, err := DecodeWorkerInit(EncodeWorkerInit(in)); err == nil {
+		t.Fatal("state 0x10 accepted")
+	}
+}

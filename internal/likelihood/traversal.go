@@ -443,7 +443,7 @@ func (e *Engine) RunJob(code threads.JobCode, w int, r threads.Range) {
 	case threads.JobSiteLL:
 		e.siteLLRange(r)
 	case threads.JobInsertScan:
-		e.pool.Slot(w)[0] = e.insertScanRange(r)
+		e.pool.Slot(w)[0] = e.insertScanRange(w, r)
 	default:
 		panic(fmt.Sprintf("likelihood: unknown job code %d", code))
 	}

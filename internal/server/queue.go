@@ -105,6 +105,9 @@ func (s *Server) runOne(run *Run, t *tenantQ) {
 	switch {
 	case err == nil:
 		run.state = StateDone
+		// A done run is never resumed: its checkpoints would only pin
+		// memory for the server's lifetime.
+		run.checkpoints = nil
 		s.metrics.runsDone.Add(1)
 	case run.canceledByUser:
 		run.state = StateCanceled

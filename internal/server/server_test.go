@@ -403,7 +403,8 @@ func TestCancelWhileQueued(t *testing.T) {
 // TestCancelMidRunAndResume: canceling a running analysis unwinds it at
 // a checkpoint boundary (ranks back in the free pool, checkpoints
 // retained), and resubmitting the same content resumes from those
-// checkpoints to the exact reference result.
+// checkpoints to the exact reference result; once done, the run drops
+// them.
 func TestCancelMidRunAndResume(t *testing.T) {
 	align := testAlignment(t)
 	s, fleet := newTestServer(t, 2, Config{MaxRunning: 1})
@@ -437,6 +438,12 @@ func TestCancelMidRunAndResume(t *testing.T) {
 	}
 	waitState(t, run2, StateDone)
 	checkRunMatches(t, s, run2, refResult(t, align, 456), "cancel-resume")
+	run2.mu.Lock()
+	ncp = len(run2.checkpoints)
+	run2.mu.Unlock()
+	if ncp != 0 {
+		t.Errorf("done run still holds %d checkpoints", ncp)
+	}
 }
 
 // TestDrainPersistsAndResumes: SIGTERM-drain semantics — a running
