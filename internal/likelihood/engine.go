@@ -29,9 +29,9 @@
 // depends on the viewing direction. The engine stores one CLV per
 // directed edge (node, neighbor-slot): clv(u, i) is the conditional
 // likelihood of the subtree seen from u looking away from neighbor i.
-// CLVs are computed lazily with validity flags; topology edits
-// invalidate everything, branch-length changes invalidate precisely the
-// directions that can observe the changed edge.
+// CLVs are computed lazily with validity flags; topology edits and
+// branch-length changes invalidate precisely the directions that can
+// observe the edit, and model changes invalidate everything.
 //
 // Flat CLV arena. All directed CLVs live in ONE contiguous []float64
 // owned by the engine, carved into fixed-size tiles. A tile is the
@@ -59,6 +59,7 @@ package likelihood
 
 import (
 	"fmt"
+	"math"
 
 	"raxml/internal/gtr"
 	"raxml/internal/msa"
@@ -203,7 +204,9 @@ type Engine struct {
 	siteBuf []float64
 
 	// valid[node*3+slot] marks CLVs consistent with the current tree.
-	valid []bool
+	// invStack is the reused walk stack of invalidateSide.
+	valid    []bool
+	invStack [][2]int
 
 	// tipFlat packs every taxon's (undirected) tip CLV into one flat
 	// block: tipFlat[taxon*nPatterns*4 + pattern*4 + state], shared
@@ -215,13 +218,17 @@ type Engine struct {
 	tipCodeMask []uint16
 
 	// scratch transition matrices, indexed [part.pOff + category]
-	// (master-computed, read-only inside parallel sections). pLeft and
-	// pRight serve the insertion-scan kernel; pEval/pD1/pD2 the
-	// evaluate and makenewz kernels. Per-entry newview matrices live in
-	// the traversal arena.
-	pLeft, pRight [][16]float64
-	pEval         [][16]float64
-	pD1, pD2      [][16]float64
+	// (master-computed, read-only inside parallel sections). pHalf and
+	// pPend serve the insertion-scan kernel: P(t/2) toward both ends of
+	// the candidate edge, and the pendant-branch matrices toward the
+	// subtree, refilled only when pendKey no longer matches (every
+	// candidate of one pruning shares the pendant length). pEval/pD1/pD2
+	// serve the evaluate and makenewz kernels. Per-entry newview
+	// matrices live in the traversal arena.
+	pHalf, pPend [][16]float64
+	pendKey      pendantKey
+	pEval        [][16]float64
+	pD1, pD2     [][16]float64
 
 	// traversal descriptor state (see traversal.go): the ordered list
 	// of stale directed CLVs posted to the pool as one job, its
@@ -283,10 +290,11 @@ type Engine struct {
 	// distributed Dispatcher ships a model-sync block whenever the
 	// epoch moved since its last broadcast. Every model mutation goes
 	// through InvalidateAll (stale CLVs otherwise), so bumping there
-	// can never miss a change — topology-only InvalidateAll calls ship
-	// a redundant block, which is waste, not error. topoEpoch counts
-	// AttachTree calls, after which remote ranks must reset their tile
-	// bindings.
+	// can never miss a change. Topology edits of the search go through
+	// the exact invalidations (DanglingPrune, Plug, ...) and leave the
+	// epoch alone, so a lazy-SPR pass ships no model block and keeps
+	// the delta-descriptor caches warm. topoEpoch counts AttachTree
+	// calls, after which remote ranks must reset their tile bindings.
 	modelEpoch uint64
 	topoEpoch  uint64
 
@@ -685,31 +693,98 @@ func (e *Engine) InvalidateEdge(u, v int) {
 	e.invalidateSide(v, u)
 }
 
-func (e *Engine) invalidateSide(from, acrossTo int) {
-	// BFS over the component on `from`'s side of edge (from, acrossTo).
-	// parentOf[x] = x's first hop toward the changed edge.
-	type qe struct{ node, parent int }
-	queue := []qe{{from, acrossTo}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		n := &e.tree.Nodes[cur.node]
-		for slot, nb := range n.Neighbors {
-			if nb < 0 {
-				continue
-			}
-			if nb == cur.parent {
-				// clv(cur.node, slot) looks away from the changed edge's
-				// direction: it cuts the edge to `parent`, so its view
-				// excludes the changed edge → stays valid.
-				continue
-			}
-			// Every other directed view from this node contains the
-			// changed edge.
-			e.valid[cur.node*3+slot] = false
-			queue = append(queue, qe{nb, cur.node})
+// InvalidateNode marks stale node n's own three views and every view
+// that looks across n — the exact invalidation of a topology edit at n
+// (a junction whose neighbor slots were reassigned). Views looking away
+// from n keep their CLVs.
+func (e *Engine) InvalidateNode(n int) {
+	e.valid[n*3], e.valid[n*3+1], e.valid[n*3+2] = false, false, false
+	for _, nb := range e.tree.Nodes[n].Neighbors {
+		if nb >= 0 {
+			e.invalidateSide(nb, n)
 		}
 	}
+}
+
+// invalidateSide walks the component on `from`'s side of edge
+// (from, acrossTo) and marks stale every view that contains that edge.
+// A view is only ever valid when the views it was computed from are
+// (queueTraversal marks children first; every invalidation drops a
+// view together with all views built on it), so the walk stops behind
+// a view that is already stale: everything beyond it is stale too. The
+// walk stack is engine-held, so invalidation allocates nothing.
+func (e *Engine) invalidateSide(from, acrossTo int) {
+	// Stack entries are (node, parent): parent is node's first hop
+	// toward the changed edge.
+	e.invStack = append(e.invStack[:0], [2]int{from, acrossTo})
+	for len(e.invStack) > 0 {
+		cur := e.invStack[len(e.invStack)-1]
+		e.invStack = e.invStack[:len(e.invStack)-1]
+		node, parent := cur[0], cur[1]
+		for slot, nb := range e.tree.Nodes[node].Neighbors {
+			// The view cutting the edge to `parent` looks away from the
+			// changed edge and stays valid; every other view from this
+			// node contains it.
+			if nb < 0 || nb == parent {
+				continue
+			}
+			idx := node*3 + slot
+			if !e.valid[idx] {
+				continue
+			}
+			e.valid[idx] = false
+			e.invStack = append(e.invStack, [2]int{nb, node})
+		}
+	}
+}
+
+// DanglingPrune prunes the subtree at root across edge (root, attach)
+// like tree.DanglingPrune and drops exactly the views the edit changed:
+// attach's (its slots are reassigned), the subtree's views looking
+// toward attach, and the main tree's views containing the rejoined edge
+// (OrigA, OrigB). Everything else — in particular the subtree's view
+// from root and every view looking toward the pruning point — stays
+// valid for the insertion scan.
+func (e *Engine) DanglingPrune(root, attach int) (*tree.PrunedSubtree, error) {
+	p, err := e.tree.DanglingPrune(root, attach)
+	if err != nil {
+		// A prune that fails after its first disconnect reconnects root
+		// to attach, possibly into another slot.
+		e.InvalidateNode(attach)
+		return nil, err
+	}
+	e.InvalidateNode(attach)
+	e.InvalidateEdge(p.OrigA, p.OrigB)
+	return p, nil
+}
+
+// Plug inserts the dangling subtree into edge ed like tree.Plug and
+// drops the views across the new junction. Connect fills first free
+// slots, so ed's endpoints and the subtree root keep their slot
+// indices while attach's slots are reassigned: its three views go too.
+func (e *Engine) Plug(p *tree.PrunedSubtree, ed tree.Edge) error {
+	if err := e.tree.Plug(p, ed); err != nil {
+		return err
+	}
+	e.InvalidateNode(p.Attach)
+	return nil
+}
+
+// UnplugKeepDangling removes the junction from edge ed like
+// tree.UnplugKeepDangling and drops the views across attach and across
+// the restored edge, whose length (the sum of the two halves) can
+// differ from its length before the plug.
+func (e *Engine) UnplugKeepDangling(p *tree.PrunedSubtree, ed tree.Edge) {
+	e.tree.UnplugKeepDangling(p, ed)
+	e.InvalidateNode(p.Attach)
+	e.InvalidateEdge(ed.A, ed.B)
+}
+
+// PlugBack restores the dangling subtree to its original position like
+// tree.PlugBack and drops the views across attach.
+func (e *Engine) PlugBack(p *tree.PrunedSubtree) {
+	e.tree.PlugBack(p)
+	e.InvalidateNode(p.Attach)
 }
 
 // ensureP recomputes the per-partition matrix-scratch offsets (pOff:
@@ -724,23 +799,23 @@ func (e *Engine) ensureP() {
 	}
 	e.totalCats = total
 	if cap(e.pEval) < total {
-		e.pLeft = make([][16]float64, total)
-		e.pRight = make([][16]float64, total)
+		e.pHalf = make([][16]float64, total)
+		e.pPend = make([][16]float64, total)
 		e.pEval = make([][16]float64, total)
 		e.pD1 = make([][16]float64, total)
 		e.pD2 = make([][16]float64, total)
 		return
 	}
-	e.pLeft = e.pLeft[:total]
-	e.pRight = e.pRight[:total]
+	e.pHalf = e.pHalf[:total]
+	e.pPend = e.pPend[:total]
 	e.pEval = e.pEval[:total]
 	e.pD1 = e.pD1[:total]
 	e.pD2 = e.pD2[:total]
 }
 
 // fillP computes transition matrices for every partition and rate
-// category at branch length t into the given scratch buffer (pLeft,
-// pRight or pEval), at the partitions' pOff offsets. Branch lengths are
+// category at branch length t into the given scratch buffer (pHalf,
+// pPend or pEval), at the partitions' pOff offsets. Branch lengths are
 // linked across partitions; the matrices still differ because every
 // partition has its own model and category rates.
 func (e *Engine) fillP(t float64, dst [][16]float64) {
@@ -750,6 +825,27 @@ func (e *Engine) fillP(t float64, dst [][16]float64) {
 			ps.model.P(t, ps.rates.Rates[c], &dst[ps.pOff+c])
 		}
 	}
+}
+
+// pendantKey identifies the contents of pPend: the pendant length bits
+// and the model epoch and category total they were filled under.
+type pendantKey struct {
+	bits, epoch uint64
+	cats        int
+	ok          bool
+}
+
+// fillPendant fills pPend with the pendant-branch matrices at length t
+// unless it already holds them. Every model change moves the model
+// epoch (InvalidateAll on a master, ApplyWireModel on a worker rank),
+// so a matching key means bit-identical matrices.
+func (e *Engine) fillPendant(t float64) {
+	k := pendantKey{bits: math.Float64bits(t), epoch: e.modelEpoch, cats: e.totalCats, ok: true}
+	if e.pendKey == k {
+		return
+	}
+	e.fillP(t, e.pPend)
+	e.pendKey = k
 }
 
 // chunkOf intersects a worker's pattern range with partition pi's span;

@@ -12,11 +12,12 @@ import (
 
 // AVX2 kernel bindings. The assembly (kernels_amd64.s) implements every
 // kernel-table entry — the nCat == 4 GAMMA newview shapes and makenewz
-// core reduction, the CAT newview shapes and site kernels, and the
-// 4-lane log — with the same IEEE operation sequence as the scalar
-// reference (pairwise-associated dots, no FMA contraction), so the two
-// paths produce bit-identical CLVs, scale counters, site values, logs
-// and Newton partials; TestKernelEquivalence enforces that.
+// core reduction, the CAT newview shapes, site kernels and makenewz
+// core, the makenewz setup projection, and the 4-lane log — with the
+// same IEEE operation sequence as the scalar reference (pairwise-
+// associated dots, no FMA contraction), so the two paths produce
+// bit-identical CLVs, scale counters, site values, logs, sumtables and
+// Newton partials; TestKernelEquivalence enforces that.
 // Availability is probed once via CPUID/XGETBV: the OS must have
 // enabled YMM state and the CPU must report AVX2.
 
@@ -28,6 +29,8 @@ var avx2Kernels = kernelTable{
 	newviewTT4: newviewTT4Asm,
 	newviewTI4: newviewTI4Asm,
 	mkzCoreG4:  mkzCoreG4Asm,
+	mkzSetup:   mkzSetupAsm,
+	mkzCoreCAT: mkzCoreCATAsm,
 
 	newviewTTCAT: newviewTTCATAsm,
 	newviewTICAT: newviewTICATAsm,
@@ -152,6 +155,34 @@ func mkzCoreG4Asm(tbl []float64, w []int, pw *[48]float64) (d1, d2 float64) {
 	return mkzCoreG4AVX2(n, &tbl[0], &w[0], &pw[0])
 }
 
+// mkzSetupAVX2 projects n patterns × nCat categories into the
+// eigenbasis: the lane blocks at av (aStep floats per pattern, aCat per
+// category) through the rows of left, those at bv through the rows of
+// rightT (the transposed right basis), one 4-float product per
+// (pattern, category) at dst.
+//
+//go:noescape
+func mkzSetupAVX2(n, nCat int, dst, av, bv *float64, aStep, aCat, bStep, bCat int, left, rightT *[16]float64)
+
+func mkzSetupAsm(dst, av, bv []float64, nCat, aStep, aCat, bStep, bCat int, left, right *[16]float64) {
+	n := len(dst) / (nCat * 4)
+	if n == 0 {
+		return
+	}
+	_ = dst[n*nCat*4-1]
+	_ = av[(n-1)*aStep+(nCat-1)*aCat+3]
+	_ = bv[(n-1)*bStep+(nCat-1)*bCat+3]
+	// Row j of rightT holds right's column j, so the right projection
+	// becomes the same broadcast-and-add over rows as the left one.
+	var rightT [16]float64
+	for kk := 0; kk < 4; kk++ {
+		for j := 0; j < 4; j++ {
+			rightT[j*4+kk] = right[kk*4+j]
+		}
+	}
+	mkzSetupAVX2(n, nCat, &dst[0], &av[0], &bv[0], aStep, aCat, bStep, bCat, left, &rightT)
+}
+
 // The CAT kernels address matrices and lookup-table blocks by each
 // pattern's category and stop with ok = false at the first category
 // outside [0, npc), before reading through it; badCats turns that into
@@ -192,6 +223,13 @@ func scanSiteCATAVX2(n int, site, xv, yv, sv *float64, cat *int, npc int, px, py
 //
 //go:noescape
 func evalSiteCATAVX2(n int, site, av, bv *float64, cat *int, npc int, pm *[16]float64, freqs *[4]float64) (ok bool)
+
+// mkzCoreCATAVX2 reduces the CAT Newton d1/d2 partials of n patterns
+// from their 4-float sumtable blocks at tbl, the weights at w and the
+// per-category factor blocks at fE, f1, f2 selected by cat.
+//
+//go:noescape
+func mkzCoreCATAVX2(n int, tbl *float64, w, cat *int, npc int, fE, f1, f2 *float64) (d1, d2 float64, ok bool)
 
 // logsAVX2 takes the logs of the 4·n values at x in place and returns
 // the mask of lanes (bit i = x[i]) it left unchanged because they are
@@ -269,6 +307,21 @@ func evalSiteCATAsm(site, av, bv []float64, cat []int, pm [][16]float64, freqs *
 	if !evalSiteCATAVX2(n, &site[0], &av[0], &bv[0], &cat[0], len(pm), &pm[0], freqs) {
 		badCats(cat, len(pm))
 	}
+}
+
+func mkzCoreCATAsm(tbl []float64, w, cat []int, fE, f1, f2 []float64) (d1, d2 float64) {
+	n := len(w)
+	if n == 0 {
+		return 0, 0
+	}
+	npc := min(len(fE), len(f1), len(f2)) / 4
+	_ = tbl[n*4-1]
+	cat = cat[:n]
+	d1, d2, ok := mkzCoreCATAVX2(n, &tbl[0], &w[0], &cat[0], npc, &fE[0], &f1[0], &f2[0])
+	if !ok {
+		badCats(cat, npc)
+	}
+	return d1, d2
 }
 
 // log4Asm takes the logs of v in place: whole groups of four lanes in

@@ -4,8 +4,8 @@
 
 // AVX2 implementations of every kernel-table entry (see
 // kernels_dispatch.go and docs/kernels.md): the nCat == 4 GAMMA newview
-// shapes and makenewz core, the CAT newview shapes and site kernels,
-// and the 4-lane log. All are written to be bit-identical to their
+// shapes and makenewz core, the makenewz setup projection, the CAT
+// newview shapes, site kernels and makenewz core, and the 4-lane log. All are written to be bit-identical to their
 // scalar references: every 4-term dot product is a VMULPD followed by
 // the VHADDPD / VPERM2F128 / VBLENDPD / VADDPD combine — the same
 // pairwise association the scalar code spells out — every other sum
@@ -291,8 +291,9 @@ mkzloop:
 	VMOVUPD 96(SI), Y3
 
 	MKZDOT(0, X14)   // siteL
-	VUCOMISD tiny<>(SB), X14
-	JB mkznext       // siteL < SmallestNonzeroFloat64: dead pattern
+	VMOVSD tiny<>(SB), X15
+	VUCOMISD X14, X15
+	JA mkznext       // siteL < SmallestNonzeroFloat64: dead pattern (a NaN site is not, as in the scalar <)
 
 	MKZDOT(128, X15) // siteD1
 	MKZDOT(256, X11) // siteD2
@@ -315,6 +316,81 @@ mkznext:
 	JNZ mkzloop
 	VMOVSD X12, d1+32(FP)
 	VMOVSD X13, d2+40(FP)
+	VZEROUPPER
+	RET
+
+// ---- makenewz setup (both rate models) --------------------------------
+//
+// Per (pattern, category): lz = (L0·a0 + L1·a1) + (L2·a2 + L3·a3) over
+// the rows L_s of left with a_s broadcast, rz likewise over the rows of
+// rightT, and the lane product lz·rz — the scalar kk loop, four kk at
+// once, in its association.
+
+// func mkzSetupAVX2(n, nCat int, dst, av, bv *float64, aStep, aCat, bStep, bCat int, left, rightT *[16]float64)
+TEXT ·mkzSetupAVX2(SB), NOSPLIT, $0-88
+	MOVQ n+0(FP), CX
+	MOVQ nCat+8(FP), R8
+	MOVQ dst+16(FP), DI
+	MOVQ av+24(FP), SI
+	MOVQ bv+32(FP), DX
+	MOVQ aStep+40(FP), R9
+	MOVQ aCat+48(FP), R10
+	MOVQ bStep+56(FP), R11
+	MOVQ bCat+64(FP), R12
+	MOVQ left+72(FP), AX
+	MOVQ rightT+80(FP), BX
+	SHLQ $3, R9 // float strides to byte strides
+	SHLQ $3, R10
+	SHLQ $3, R11
+	SHLQ $3, R12
+	VMOVUPD 0(AX), Y8
+	VMOVUPD 32(AX), Y9
+	VMOVUPD 64(AX), Y10
+	VMOVUPD 96(AX), Y11
+	VMOVUPD 0(BX), Y12
+	VMOVUPD 32(BX), Y13
+	VMOVUPD 64(BX), Y14
+	VMOVUPD 96(BX), Y15
+
+msk:
+	MOVQ SI, AX  // a block of category 0
+	MOVQ DX, BX  // b block of category 0
+	MOVQ R8, R13 // categories left
+
+msc:
+	VBROADCASTSD 0(AX), Y0
+	VBROADCASTSD 8(AX), Y1
+	VBROADCASTSD 16(AX), Y2
+	VBROADCASTSD 24(AX), Y3
+	VMULPD Y8, Y0, Y0
+	VMULPD Y9, Y1, Y1
+	VADDPD Y1, Y0, Y0
+	VMULPD Y10, Y2, Y2
+	VMULPD Y11, Y3, Y3
+	VADDPD Y3, Y2, Y2
+	VADDPD Y2, Y0, Y0 // lz
+	VBROADCASTSD 0(BX), Y4
+	VBROADCASTSD 8(BX), Y5
+	VBROADCASTSD 16(BX), Y6
+	VBROADCASTSD 24(BX), Y7
+	VMULPD Y12, Y4, Y4
+	VMULPD Y13, Y5, Y5
+	VADDPD Y5, Y4, Y4
+	VMULPD Y14, Y6, Y6
+	VMULPD Y15, Y7, Y7
+	VADDPD Y7, Y6, Y6
+	VADDPD Y6, Y4, Y4 // rz
+	VMULPD Y4, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ R10, AX
+	ADDQ R12, BX
+	DECQ R13
+	JNZ msc
+	ADDQ R9, SI
+	ADDQ R11, DX
+	DECQ CX
+	JNZ msk
 	VZEROUPPER
 	RET
 
@@ -610,6 +686,78 @@ evloop:
 
 evbad:
 	MOVB $0, ok+64(FP)
+	VZEROUPPER
+	RET
+
+// CAT makenewz core: per live pattern, the siteL dot of the sumtable
+// block against its category's fE block (VHADDPD, then the high pair
+// added to the low: (p0+p1)+(p2+p3)), the same for d1 and d2 side by
+// side in one VHADDPD, then the scalar Newton arithmetic of the GAMMA
+// core in its order.
+
+// func mkzCoreCATAVX2(n int, tbl *float64, w, cat *int, npc int, fE, f1, f2 *float64) (d1, d2 float64, ok bool)
+TEXT ·mkzCoreCATAVX2(SB), NOSPLIT, $0-81
+	MOVQ n+0(FP), CX
+	MOVQ tbl+8(FP), SI
+	MOVQ w+16(FP), R10
+	MOVQ cat+24(FP), BX
+	MOVQ npc+32(FP), R9
+	MOVQ fE+40(FP), R11
+	MOVQ f1+48(FP), R12
+	MOVQ f2+56(FP), R13
+	VXORPD X12, X12, X12 // s1
+	VXORPD X13, X13, X13 // s2
+	VMOVSD tiny<>(SB), X15
+
+mcloop:
+	MOVQ (R10), DX
+	MOVQ (BX), AX
+	ADDQ $8, R10
+	ADDQ $8, BX
+	TESTQ DX, DX
+	JEQ mcnext
+	CMPQ AX, R9
+	JAE mcbad
+	SHLQ $5, AX // category factor block: 4 floats
+	VMOVUPD (SI), Y0
+	VMULPD (R11)(AX*1), Y0, Y1
+	VHADDPD Y1, Y1, Y2
+	VEXTRACTF128 $1, Y2, X3
+	VADDSD X3, X2, X14 // siteL
+	VUCOMISD X14, X15
+	JA mcnext          // siteL < SmallestNonzeroFloat64: dead pattern (a NaN site is not)
+
+	VMULPD (R12)(AX*1), Y0, Y1
+	VMULPD (R13)(AX*1), Y0, Y4
+	VHADDPD Y4, Y1, Y2       // [d1 01, d2 01, d1 23, d2 23]
+	VEXTRACTF128 $1, Y2, X3
+	VADDPD X3, X2, X2        // [siteD1, siteD2]
+	VPERMILPD $1, X2, X11    // siteD2 in the low lane
+
+	VMOVSD one<>(SB), X10
+	VDIVSD X14, X10, X10     // inv = 1 / siteL
+	VMULSD X10, X2, X9       // ratio = siteD1 * inv
+	VCVTSI2SDQ DX, X8, X8    // wk as float64
+	VMULSD X9, X8, X7        // wk * ratio
+	VADDSD X7, X12, X12      // s1 += wk * ratio
+	VMULSD X10, X11, X6      // siteD2 * inv
+	VMULSD X9, X9, X5        // ratio^2
+	VSUBSD X5, X6, X6        // siteD2*inv - ratio^2
+	VMULSD X6, X8, X6        // * wk
+	VADDSD X6, X13, X13      // s2 += ...
+
+mcnext:
+	ADDQ $32, SI
+	DECQ CX
+	JNZ mcloop
+	VMOVSD X12, d1+64(FP)
+	VMOVSD X13, d2+72(FP)
+	MOVB $1, ok+80(FP)
+	VZEROUPPER
+	RET
+
+mcbad:
+	MOVB $0, ok+80(FP)
 	VZEROUPPER
 	RET
 

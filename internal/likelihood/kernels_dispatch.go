@@ -9,8 +9,9 @@ import (
 
 // Kernel dispatch. The hot inner loops of both rate models — the
 // nCat == 4 GAMMA newview shapes and makenewz core reduction, the CAT
-// newview shapes, the insertion-scan and evaluate site kernels of CAT,
-// and the batched site-log — are reached through a per-engine kernel
+// newview shapes and makenewz core, the makenewz setup projection of
+// both, the insertion-scan and evaluate site kernels of CAT, and the
+// batched site-log — are reached through a per-engine kernel
 // table bound at construction, so an AVX2 assembly implementation
 // (kernels_amd64.s, amd64 && !purego builds) can replace the scalar
 // reference without a branch inside the pattern loop. The scalar
@@ -52,6 +53,16 @@ const (
 // evaluate/site-lnL site value across one edge. Both clamp the site
 // at math.SmallestNonzeroFloat64 with math.Max.
 //
+// Makenewz (both rate models): mkzSetup projects the two endpoint
+// views of a branch into the model eigenbasis, one 4-entry sumtable
+// block per (pattern, category) — dst[(k·nCat+c)·4+kk] is
+// (Σ_s left[s·4+kk]·a_s)·(Σ_j right[kk·4+j]·b_j) with a the lane block
+// at av[k·aStep+c·aCat:] and b likewise (tips pass a category step of
+// 0: one block serves every category). mkzCoreCAT reduces the CAT
+// Newton d1/d2 partials of the patterns in w from their sumtable
+// blocks and the per-category factor blocks fE, f1, f2 (4 floats per
+// category, selected by cat[k]).
+//
 // log4 replaces every element of v by its natural log, bit for bit
 // math.Log, four lanes at a time where the platform has them.
 type kernelTable struct {
@@ -60,6 +71,8 @@ type kernelTable struct {
 	newviewTT4 func(dst []float64, codesL, codesR []msa.State, lutL, lutR []float64, dsc []int32)
 	newviewTI4 func(dst []float64, codes []msa.State, lut, iv []float64, pm [][16]float64, isc, dsc []int32)
 	mkzCoreG4  func(tbl []float64, w []int, pw *[48]float64) (d1, d2 float64)
+	mkzSetup   func(dst, av, bv []float64, nCat, aStep, aCat, bStep, bCat int, left, right *[16]float64)
+	mkzCoreCAT func(tbl []float64, w, cat []int, fE, f1, f2 []float64) (d1, d2 float64)
 
 	newviewTTCAT func(dst []float64, codesL, codesR []msa.State, cat []int, lutL, lutR []float64, dsc []int32)
 	newviewTICAT func(dst []float64, codes []msa.State, cat []int, lut, iv []float64, pm [][16]float64, isc, dsc []int32)
@@ -75,6 +88,8 @@ var scalarKernels = kernelTable{
 	newviewTT4: newviewTT4Scalar,
 	newviewTI4: newviewTI4Scalar,
 	mkzCoreG4:  mkzCoreG4Scalar,
+	mkzSetup:   mkzSetupScalar,
+	mkzCoreCAT: mkzCoreCATScalar,
 
 	newviewTTCAT: newviewTTCATScalar,
 	newviewTICAT: newviewTICATScalar,
@@ -171,6 +186,62 @@ func mkzCoreG4Scalar(tbl []float64, w []int, pw *[48]float64) (d1, d2 float64) {
 			((f2[4]*t4 + f2[5]*t5) + (f2[6]*t6 + f2[7]*t7))) +
 			(((f2[8]*t8 + f2[9]*t9) + (f2[10]*ta + f2[11]*tb)) +
 				((f2[12]*tc + f2[13]*td) + (f2[14]*te + f2[15]*tf)))
+		inv := 1 / siteL
+		ratio := siteD1 * inv
+		s1 += float64(wk) * ratio
+		s2 += float64(wk) * (siteD2*inv - ratio*ratio)
+	}
+	return s1, s2
+}
+
+// mkzSetupScalar is the scalar reference of the makenewz setup
+// projection of both rate models: per (pattern, category), both lane
+// blocks through the eigenbasis (each 4-term sum pairwise) and the
+// product of the two projections. Every pattern is projected
+// unconditionally — the weight-zero skip lives in the core kernel,
+// which never reads those entries; a branch-free setup loop is cheaper
+// than the per-pattern test.
+func mkzSetupScalar(dst, av, bv []float64, nCat, aStep, aCat, bStep, bCat int, left, right *[16]float64) {
+	st := nCat * 4
+	n := len(dst) / st
+	for k := 0; k < n; k++ {
+		for cat := 0; cat < nCat; cat++ {
+			ab := (*[4]float64)(av[k*aStep+cat*aCat:])
+			bb := (*[4]float64)(bv[k*bStep+cat*bCat:])
+			a0, a1, a2, a3 := ab[0], ab[1], ab[2], ab[3]
+			b0, b1, b2, b3 := bb[0], bb[1], bb[2], bb[3]
+			d := (*[4]float64)(dst[k*st+cat*4:])
+			for kk := 0; kk < 4; kk++ {
+				lz := (left[0*4+kk]*a0 + left[1*4+kk]*a1) + (left[2*4+kk]*a2 + left[3*4+kk]*a3)
+				rz := (right[kk*4+0]*b0 + right[kk*4+1]*b1) + (right[kk*4+2]*b2 + right[kk*4+3]*b3)
+				d[kk] = lz * rz
+			}
+		}
+	}
+}
+
+// mkzCoreCATScalar is the scalar reference of the CAT makenewz core
+// loop: per live pattern, three 4-term dots of its sumtable block
+// against its category's factor blocks, one division, and the Newton
+// quantities accumulated in pattern order. Zero-weight patterns and
+// sites below math.SmallestNonzeroFloat64 are skipped (a NaN site is
+// not).
+func mkzCoreCATScalar(tbl []float64, w, cat []int, fE, f1, f2 []float64) (d1, d2 float64) {
+	var s1, s2 float64
+	for k := 0; k < len(w); k++ {
+		wk := w[k]
+		if wk == 0 {
+			continue
+		}
+		t := (*[4]float64)(tbl[k*4:])
+		t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
+		c := cat[k] * 4
+		siteL := (fE[c]*t0 + fE[c+1]*t1) + (fE[c+2]*t2 + fE[c+3]*t3)
+		if siteL < math.SmallestNonzeroFloat64 {
+			continue
+		}
+		siteD1 := (f1[c]*t0 + f1[c+1]*t1) + (f1[c+2]*t2 + f1[c+3]*t3)
+		siteD2 := (f2[c]*t0 + f2[c+1]*t1) + (f2[c+2]*t2 + f2[c+3]*t3)
 		inv := 1 / siteL
 		ratio := siteD1 * inv
 		s1 += float64(wk) * ratio

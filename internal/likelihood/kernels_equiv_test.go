@@ -137,6 +137,19 @@ func sprinkle(r *rng.RNG, v []float64) {
 	}
 }
 
+// sprinkleNoNaN is sprinkle with NaN inputs turned into +Inf: the
+// makenewz kernels only ever see NaNs they produce themselves (Inf·0),
+// which are the same default NaN on both paths, while a NaN input's
+// payload would depend on operand order.
+func sprinkleNoNaN(r *rng.RNG, v []float64) {
+	sprinkle(r, v)
+	for i, x := range v {
+		if math.IsNaN(x) {
+			v[i] = math.Inf(1)
+		}
+	}
+}
+
 // TestKernelEquivalence is the property test pinning every non-scalar
 // kernel set to the scalar reference, entry by entry: randomized inputs
 // go through both implementations and every output — CLV lanes, scale
@@ -236,9 +249,94 @@ func TestKernelEquivalence(t *testing.T) {
 			for i := range pw {
 				pw[i] = (0.05 + r.Float64()) * magnitudes[r.Intn(3)]
 			}
+			if trial%3 == 2 {
+				// Dead sites (siteL below the clamp, or exactly 0) are
+				// skipped by both paths; a NaN site (Inf·0) is not.
+				sprinkleNoNaN(r, tbl)
+			}
 			refD1, refD2 := scalarKernels.mkzCoreG4(tbl, w, &pw)
 			for _, kt := range alt {
 				gotD1, gotD2 := kt.mkzCoreG4(tbl, w, &pw)
+				sameBits(t, kt.name, trial, "d1", 0, refD1, gotD1)
+				sameBits(t, kt.name, trial, "d2", 0, refD2, gotD2)
+			}
+		}
+	})
+
+	t.Run("mkzSetup", func(t *testing.T) {
+		r := rng.New(0x45)
+		for trial := 0; trial < 400; trial++ {
+			// CAT (one category) and GAMMA (four, and the generic
+			// counts), each endpoint an inner CLV or a tip vector shared
+			// by all categories; pattern counts not a multiple of 4.
+			n, nCat := 1+r.Intn(70), []int{1, 4, 1 + r.Intn(6)}[trial%3]
+			aStep, aCat := nCat*4, 4
+			if r.Intn(3) == 0 {
+				aStep, aCat = 4, 0
+			}
+			bStep, bCat := nCat*4, 4
+			if r.Intn(3) == 0 {
+				bStep, bCat = 4, 0
+			}
+			av, bv := randBlocks(r, n, aStep/4*4), randBlocks(r, n, bStep/4*4)
+			if trial%4 == 3 {
+				sprinkleNoNaN(r, av)
+			}
+			var left, right [16]float64
+			for i := range left {
+				left[i] = r.Float64() - 0.5
+				right[i] = 2*r.Float64() - 1
+			}
+			ref := make([]float64, n*nCat*4)
+			scalarKernels.mkzSetup(ref, av, bv, nCat, aStep, aCat, bStep, bCat, &left, &right)
+			for _, kt := range alt {
+				got := make([]float64, n*nCat*4)
+				kt.mkzSetup(got, av, bv, nCat, aStep, aCat, bStep, bCat, &left, &right)
+				for i := range ref {
+					sameBits(t, kt.name, trial, "sumtable", i, ref[i], got[i])
+				}
+			}
+		}
+	})
+
+	t.Run("mkzCoreCAT", func(t *testing.T) {
+		r := rng.New(0x46)
+		for trial := 0; trial < 400; trial++ {
+			n, npc := 1+r.Intn(70), 1+r.Intn(25)
+			tbl := randBlocks(r, n, 4)
+			for i := range tbl {
+				// eigenbasis projections take both signs
+				if r.Intn(3) == 0 {
+					tbl[i] = -tbl[i]
+				}
+			}
+			if trial%3 == 2 {
+				sprinkleNoNaN(r, tbl)
+			}
+			w := make([]int, n)
+			for i := range w {
+				if r.Intn(4) == 0 {
+					w[i] = 0
+				} else {
+					w[i] = 1 + r.Intn(50)
+				}
+			}
+			cat := randCats(r, n, npc)
+			fE, f1, f2 := randVals(r, 4*npc), randVals(r, 4*npc), randVals(r, 4*npc)
+			for i := range f1 {
+				f1[i] = -f1[i] // λ·r·e^(λrt): eigenvalues are <= 0
+			}
+			if trial%5 == 4 {
+				// whole categories whose sites land under the clamp
+				for c := 0; c < npc; c += 2 {
+					for j := 0; j < 4; j++ {
+						fE[c*4+j] = 1e-300 * (r.Float64() - 0.5)
+					}
+				}
+			}
+			refD1, refD2 := scalarKernels.mkzCoreCAT(tbl, w, cat, fE, f1, f2)
+			for _, kt := range alt {
+				gotD1, gotD2 := kt.mkzCoreCAT(tbl, w, cat, fE, f1, f2)
 				sameBits(t, kt.name, trial, "d1", 0, refD1, gotD1)
 				sameBits(t, kt.name, trial, "d2", 0, refD2, gotD2)
 			}
@@ -674,16 +772,31 @@ func FuzzCATKernels(f *testing.F) {
 		var freqs [4]float64
 		copy(freqs[:], s.floats(4))
 
+		w := make([]int, n)
+		for k := range w {
+			w[k] = int(s.byte()) % 4 // a quarter of the patterns weigh 0
+		}
+		var left, right [16]float64
+		copy(left[:], s.floats(16))
+		copy(right[:], s.floats(16))
+
 		type out struct {
 			tt, ti, ii, scan, eval, lg []float64
+			setup, setupTip, core      []float64
 			ttS, tiS, iiS              []int32
 		}
 		run := func(kt *kernelTable) out {
 			o := out{
 				tt: make([]float64, 4*n), ti: make([]float64, 4*n), ii: make([]float64, 4*n),
 				scan: make([]float64, n), eval: make([]float64, n),
+				setup: make([]float64, 4*n), setupTip: make([]float64, 4*n),
 				ttS: make([]int32, n), tiS: make([]int32, n), iiS: make([]int32, n),
 			}
+			kt.mkzSetup(o.setup, v1, v2, 1, 4, 4, 4, 4, &left, &right)
+			// a GAMMA-shaped tip block shared by every category
+			kt.mkzSetup(o.setupTip, v3, v1, 4, 4, 0, 16, 4, &left, &right)
+			d1, d2 := kt.mkzCoreCAT(o.setup, w, cat, lutL[:4*npc], lutR[:4*npc], lutL[4*npc:8*npc])
+			o.core = []float64{d1, d2}
 			kt.newviewTTCAT(o.tt, codesL, codesR, cat, lutL, lutR, o.ttS)
 			kt.newviewTICAT(o.ti, codesL, cat, lutL, v1, pL, sc1, o.tiS)
 			kt.newviewIICAT(o.ii, v1, v2, cat, pL, pR, sc1, sc2, o.iiS)
@@ -703,6 +816,8 @@ func FuzzCATKernels(f *testing.F) {
 				"newviewTTCAT": {ref.tt, got.tt}, "newviewTICAT": {ref.ti, got.ti},
 				"newviewIICAT": {ref.ii, got.ii}, "scanSiteCAT": {ref.scan, got.scan},
 				"evalSiteCAT": {ref.eval, got.eval}, "log4": {ref.lg, got.lg},
+				"mkzSetup": {ref.setup, got.setup}, "mkzSetupTip": {ref.setupTip, got.setupTip},
+				"mkzCoreCAT": {ref.core, got.core},
 			} {
 				for i := range pair[0] {
 					sameBits(t, kt.name, 0, name, i, pair[0][i], pair[1][i])
@@ -735,6 +850,9 @@ func TestCATKernelsRejectBadCategory(t *testing.T) {
 				"newviewIICAT": func() { kt.newviewIICAT(make([]float64, 4*n), v, v, cat, pm, pm, sc, sc, make([]int32, n)) },
 				"scanSiteCAT":  func() { kt.scanSiteCAT(make([]float64, n), v, v, v, cat, pm, pm, pm, freqs) },
 				"evalSiteCAT":  func() { kt.evalSiteCAT(make([]float64, n), v, v, cat, pm, freqs) },
+				"mkzCoreCAT": func() {
+					kt.mkzCoreCAT(v, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, cat, lut[:4*npc], lut[:4*npc], lut[:4*npc])
+				},
 			}
 			for name, call := range calls {
 				func() {

@@ -132,32 +132,16 @@ func (e *Engine) makenewzSetupChunk(ps *partState, lo, hi int) {
 	va := e.jobVA
 	vb := e.jobVB
 	left, right := ps.model.SumtableBasis()
-	nCat := e.nCat
-	st := nCat * 4
+	st := e.nCat * 4
 	l0, l1 := lo-ps.lo, hi-ps.lo // segment-local pattern window
 	base := ps.fOff
-	dst := e.sumtable[base+l0*st : base+l1*st : base+l1*st]
-	n := l1 - l0
 	aOff, aStep, aCat := viewCoeffs(&va, ps)
 	bOff, bStep, bCat := viewCoeffs(&vb, ps)
-	// Every pattern is projected unconditionally — the weight-zero skip
-	// lives in the core kernel, which never reads those entries; a
-	// branch-free setup loop is cheaper than the per-pattern test.
-	for k := 0; k < n; k++ {
-		gk := lo + k // global pattern index (tip vectors are global)
-		for cat := 0; cat < nCat; cat++ {
-			av := (*[4]float64)(va.vec[aOff+gk*aStep+cat*aCat:])
-			bv := (*[4]float64)(vb.vec[bOff+gk*bStep+cat*bCat:])
-			a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
-			b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
-			d := (*[4]float64)(dst[k*st+cat*4:])
-			for kk := 0; kk < 4; kk++ {
-				lz := (left[0*4+kk]*a0 + left[1*4+kk]*a1) + (left[2*4+kk]*a2 + left[3*4+kk]*a3)
-				rz := (right[kk*4+0]*b0 + right[kk*4+1]*b1) + (right[kk*4+2]*b2 + right[kk*4+3]*b3)
-				d[kk] = lz * rz
-			}
-		}
-	}
+	// Tip vectors are indexed by global pattern, CLV tiles by the
+	// segment-relative offset viewCoeffs folds into aOff/bOff.
+	e.kern.mkzSetup(e.sumtable[base+l0*st:base+l1*st:base+l1*st],
+		va.vec[aOff+lo*aStep:], vb.vec[bOff+lo*bStep:],
+		e.nCat, aStep, aCat, bStep, bCat, &left, &right)
 }
 
 // makenewzCoreRange reduces one worker's d1/d2 partials from its
@@ -188,29 +172,8 @@ func (e *Engine) makenewzCoreChunk(ps *partState, lo, hi int) (d1, d2 float64) {
 	w1 := e.mkzD1[eb : eb+npc*4 : eb+npc*4]
 	w2 := e.mkzD2[eb : eb+npc*4 : eb+npc*4]
 
-	var s1, s2 float64
 	if e.isCAT {
-		pcat := ps.rates.PatternCategory[l0:l1]
-		for k := 0; k < len(w); k++ {
-			wk := w[k]
-			if wk == 0 {
-				continue
-			}
-			t := (*[4]float64)(tbl[k*4:])
-			t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
-			c := pcat[k] * 4
-			siteL := (wE[c]*t0 + wE[c+1]*t1) + (wE[c+2]*t2 + wE[c+3]*t3)
-			if siteL < math.SmallestNonzeroFloat64 {
-				continue
-			}
-			siteD1 := (w1[c]*t0 + w1[c+1]*t1) + (w1[c+2]*t2 + w1[c+3]*t3)
-			siteD2 := (w2[c]*t0 + w2[c+1]*t1) + (w2[c+2]*t2 + w2[c+3]*t3)
-			inv := 1 / siteL
-			ratio := siteD1 * inv
-			s1 += float64(wk) * ratio
-			s2 += float64(wk) * (siteD2*inv - ratio*ratio)
-		}
-		return s1, s2
+		return e.kern.mkzCoreCAT(tbl, w, ps.rates.PatternCategory[l0:l1], wE, w1, w2)
 	}
 
 	probs := ps.rates.Probs
@@ -230,6 +193,7 @@ func (e *Engine) makenewzCoreChunk(ps *partState, lo, hi int) (d1, d2 float64) {
 		return e.kern.mkzCoreG4(tbl, w, &pw)
 	}
 
+	var s1, s2 float64
 	for k := 0; k < len(w); k++ {
 		wk := w[k]
 		if wk == 0 {

@@ -388,10 +388,10 @@ func TestOptimizeModelStillConverges(t *testing.T) {
 
 // ---------- benchmarks ----------
 
-// benchMakenewzEngine builds the 1288-pattern GAMMA workload the
-// makenewz benchmarks run on, with both endpoint views of the (taxon 0)
-// edge fresh.
-func benchMakenewzEngine(b *testing.B) (*Engine, int, int, int, int) {
+// benchMakenewzEngine builds the 1288-pattern workload the makenewz
+// benchmarks run on — GAMMA with four categories, or CAT with 25 — with
+// both endpoint views of the (taxon 0) edge fresh.
+func benchMakenewzEngine(b *testing.B, cat bool) (*Engine, int, int, int, int) {
 	pat := bench1288Patterns(b)
 	tr := tree.Random(pat.Names, rng.New(3))
 	pool := threads.NewPool(1, pat.NumPatterns())
@@ -399,6 +399,14 @@ func benchMakenewzEngine(b *testing.B) (*Engine, int, int, int, int) {
 	rc, err := gtr.NewGamma(0.8, 4)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if cat {
+		r := rng.New(5)
+		perSite := make([]float64, pat.NumPatterns())
+		for i := range perSite {
+			perSite[i] = 0.25 + 2*r.Float64()
+		}
+		rc = gtr.ClusterCAT(perSite, 25)
 	}
 	e, err := New(pat, gtr.Default(), rc, Config{Pool: pool})
 	if err != nil {
@@ -419,7 +427,7 @@ func benchMakenewzEngine(b *testing.B) (*Engine, int, int, int, int) {
 // filling the sumtable arena from the endpoint CLVs (paid once per
 // branch).
 func BenchmarkMakenewzSetup(b *testing.B) {
-	e, a, slotA, nb, slotB := benchMakenewzEngine(b)
+	e, a, slotA, nb, slotB := benchMakenewzEngine(b, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.makenewzSetup(a, slotA, nb, slotB, 0.1)
@@ -431,10 +439,32 @@ func BenchmarkMakenewzSetup(b *testing.B) {
 // JobMakenewzCore dispatch of 4-term dot products — the per-iteration
 // cost the Newton loop pays 1..32 times per branch.
 func BenchmarkMakenewzIteration(b *testing.B) {
-	e, a, slotA, nb, slotB := benchMakenewzEngine(b)
+	e, a, slotA, nb, slotB := benchMakenewzEngine(b, false)
 	e.makenewzSetup(a, slotA, nb, slotB, 0.1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = e.makenewzCore(0.1)
 	}
+}
+
+// BenchmarkMakenewzCAT is the GTRCAT twin of the two benchmarks above —
+// the makenewz work of the lazy-SPR searches both perfbench workloads
+// run: setup is one projection pass, iteration one Newton core
+// dispatch. Report-only (not in BENCH_BASELINE.json).
+func BenchmarkMakenewzCAT(b *testing.B) {
+	b.Run("setup", func(b *testing.B) {
+		e, a, slotA, nb, slotB := benchMakenewzEngine(b, true)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.makenewzSetup(a, slotA, nb, slotB, 0.1)
+		}
+	})
+	b.Run("iteration", func(b *testing.B) {
+		e, a, slotA, nb, slotB := benchMakenewzEngine(b, true)
+		e.makenewzSetup(a, slotA, nb, slotB, 0.1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, _ = e.makenewzCore(0.1)
+		}
+	})
 }

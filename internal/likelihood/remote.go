@@ -792,6 +792,9 @@ func (e *Engine) ApplyWireModel(m *WireModel, g *WorkerGeom) error {
 		}
 	}
 	e.ensureP()
+	// The worker's model moved: pendant matrices cached under the old
+	// epoch must not be reused.
+	e.modelEpoch++
 	return nil
 }
 
@@ -952,9 +955,8 @@ func (e *Engine) ExecWireJob(job *WireJob, g *WorkerGeom) ([]byte, error) {
 			return nil, err
 		}
 	case threads.JobInsertScan:
-		e.fillP(job.T/2, e.pLeft)
-		e.fillP(job.T/2, e.pRight)
-		e.fillP(job.T2, e.pEval)
+		e.fillP(job.T/2, e.pHalf)
+		e.fillPendant(job.T2)
 	default:
 		return nil, fmt.Errorf("likelihood: wire job code %d not executable", job.Code)
 	}

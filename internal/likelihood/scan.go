@@ -38,9 +38,8 @@ func (e *Engine) EvaluateInsertion(subRoot, attach, x, y int) float64 {
 	txy := e.tree.EdgeLength(x, y)
 	pendant := e.tree.EdgeLength(subRoot, attach)
 	e.ensureP()
-	e.fillP(txy/2, e.pLeft)   // toward x
-	e.fillP(txy/2, e.pRight)  // toward y
-	e.fillP(pendant, e.pEval) // toward the subtree
+	e.fillP(txy/2, e.pHalf) // toward x and toward y
+	e.fillPendant(pendant)  // toward the subtree
 
 	e.jobVX = e.viewOf(x, slotXY)
 	e.jobVY = e.viewOf(y, slotYX)
@@ -56,11 +55,11 @@ func (e *Engine) EvaluateInsertion(subRoot, attach, x, y int) float64 {
 
 // insertScanRange computes one worker's partial of the three-way CLV
 // join at a candidate insertion point, over the views jobVX/jobVY/jobVS
-// with per-partition transition matrices pLeft (toward x), pRight
-// (toward y) and pEval (toward the subtree). Site values are staged
-// logBatch patterns at a time in the worker's scratch row and their
-// logs taken in one log4 call; the sum stays the serial per-pattern
-// reduction.
+// with per-partition transition matrices pHalf (toward x and toward y:
+// the candidate edge is split in half) and pPend (toward the subtree).
+// Site values are staged logBatch patterns at a time in the worker's
+// scratch row and their logs taken in one log4 call; the sum stays the
+// serial per-pattern reduction.
 func (e *Engine) insertScanRange(w int, r threads.Range) float64 {
 	site := e.siteScratch(w)
 	sx, sy, ss := e.jobVX.scale, e.jobVY.scale, e.jobVS.scale
@@ -89,13 +88,12 @@ func (e *Engine) insertScanRange(w int, r threads.Range) float64 {
 func (e *Engine) insertionSites(site []float64, ps *partState, lo int) {
 	vx, vy, vs := &e.jobVX, &e.jobVY, &e.jobVS
 	hi := lo + len(site)
-	pLeft := e.pLeft[ps.pOff:]
-	pRight := e.pRight[ps.pOff:]
-	pEval := e.pEval[ps.pOff:]
+	pHalf := e.pHalf[ps.pOff:]
+	pPend := e.pPend[ps.pOff:]
 	if e.isCAT {
 		npc := ps.rates.NumCats()
 		e.kern.scanSiteCAT(site, catView(vx, ps, lo, hi), catView(vy, ps, lo, hi), catView(vs, ps, lo, hi),
-			ps.rates.PatternCategory[lo-ps.lo:hi-ps.lo], pLeft[:npc], pRight[:npc], pEval[:npc], &ps.model.Freqs)
+			ps.rates.PatternCategory[lo-ps.lo:hi-ps.lo], pHalf[:npc], pHalf[:npc], pPend[:npc], &ps.model.Freqs)
 		return
 	}
 	nCat := e.nCat
@@ -118,12 +116,12 @@ func (e *Engine) insertionSites(site []float64, ps *partState, lo int) {
 			x1, x2, x3, x4 := xv[0], xv[1], xv[2], xv[3]
 			y1, y2, y3, y4 := yv[0], yv[1], yv[2], yv[3]
 			s1, s2, s3, s4 := sb4[0], sb4[1], sb4[2], sb4[3]
-			px, py, pe := &pLeft[cat], &pRight[cat], &pEval[cat]
+			px, pe := &pHalf[cat], &pPend[cat]
 			catL := 0.0
 			for s := 0; s < 4; s++ {
 				sb := s * 4
 				ax := (px[sb]*x1 + px[sb+1]*x2) + (px[sb+2]*x3 + px[sb+3]*x4)
-				ay := (py[sb]*y1 + py[sb+1]*y2) + (py[sb+2]*y3 + py[sb+3]*y4)
+				ay := (px[sb]*y1 + px[sb+1]*y2) + (px[sb+2]*y3 + px[sb+3]*y4)
 				ac := (pe[sb]*s1 + pe[sb+1]*s2) + (pe[sb+2]*s3 + pe[sb+3]*s4)
 				catL += freqs[s] * ax * ay * ac
 			}

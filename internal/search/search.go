@@ -197,11 +197,13 @@ func sprPass(eng *likelihood.Engine, t *tree.Tree, radius int, epsilon float64, 
 		if !adjacent(t, pr.root, pr.attach) || t.Nodes[pr.attach].IsTip() {
 			continue
 		}
-		p, err := t.DanglingPrune(pr.root, pr.attach)
+		// The engine's edit methods pair each tree edit with its exact
+		// invalidation: only the views looking across the edit are
+		// recomputed, and the model epoch stays put.
+		p, err := eng.DanglingPrune(pr.root, pr.attach)
 		if err != nil {
 			continue // pruning not legal in current tree shape
 		}
-		eng.InvalidateAll()
 
 		cands := t.RegraftCandidates(p, radius)
 		reunion := tree.Edge{A: p.OrigA, B: p.OrigB}
@@ -225,18 +227,15 @@ func sprPass(eng *likelihood.Engine, t *tree.Tree, radius int, epsilon float64, 
 
 		if bestCand == reunion || bestLazy <= reunionLazy {
 			// No candidate looks better than staying put.
-			t.PlugBack(p)
-			eng.InvalidateAll()
+			eng.PlugBack(p)
 			continue
 		}
 
 		// Apply the promising move for a full evaluation.
-		if err := t.Plug(p, bestCand); err != nil {
-			t.PlugBack(p)
-			eng.InvalidateAll()
+		if err := eng.Plug(p, bestCand); err != nil {
+			eng.PlugBack(p)
 			return improved, fmt.Errorf("search: plug failed: %v", err)
 		}
-		eng.InvalidateAll()
 		optimizeJunction(eng, p.Attach)
 		full := eng.LogLikelihood()
 		if full > *best+epsilon {
@@ -246,9 +245,8 @@ func sprPass(eng *likelihood.Engine, t *tree.Tree, radius int, epsilon float64, 
 			continue
 		}
 		// Not actually better: revert.
-		t.UnplugKeepDangling(p, bestCand)
-		t.PlugBack(p)
-		eng.InvalidateAll()
+		eng.UnplugKeepDangling(p, bestCand)
+		eng.PlugBack(p)
 	}
 	return improved, nil
 }
@@ -258,8 +256,9 @@ func sprPass(eng *likelihood.Engine, t *tree.Tree, radius int, epsilon float64, 
 // engine's OptimizeJunction refreshes all six endpoint views of the
 // junction with ONE combined traversal descriptor before the per-branch
 // Newton loops (each of which is one sumtable setup plus one dispatch
-// per iteration), so the move evaluation stays descriptor-batched even
-// right after the full invalidation of Plug.
+// per iteration), so the move evaluation stays descriptor-batched: after
+// Plug only the views across the new junction are stale, and they all
+// ride in that one descriptor.
 func optimizeJunction(eng *likelihood.Engine, attach int) {
 	eng.OptimizeJunction(attach)
 }

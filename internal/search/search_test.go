@@ -240,3 +240,75 @@ func BenchmarkFastSearch(b *testing.B) {
 		}
 	}
 }
+
+// TestSPRPassKeepsModelEpoch pins what the exact invalidation of the
+// lazy-SPR edits buys a distributed master: a topology-only pass moves
+// no model epoch, so a -fine master ships no model block per pruning
+// and keeps its delta-descriptor caches warm.
+func TestSPRPassKeepsModelEpoch(t *testing.T) {
+	pat := testData(t, 14, 500, 4)
+	eng := testEngine(t, pat, 1)
+	start := tree.Random(pat.Names, rng.New(6))
+	if err := eng.AttachTree(start); err != nil {
+		t.Fatal(err)
+	}
+	best := eng.OptimizeAllBranches(1, 0.01)
+	model0, topo0 := eng.WireEpochs()
+	res := &Result{Tree: start}
+	if _, err := sprPass(eng, start, 5, 0.1, &best, res); err != nil {
+		t.Fatal(err)
+	}
+	if res.ScannedInsertions == 0 {
+		t.Fatal("pass scanned no insertions")
+	}
+	if model, topo := eng.WireEpochs(); model != model0 || topo != topo0 {
+		t.Fatalf("topology-only sprPass moved the epochs: model %d -> %d, topo %d -> %d", model0, model, topo0, topo)
+	}
+	// The incrementally maintained views still give the fresh lnL.
+	ref := testEngine(t, pat, 1)
+	if err := ref.AttachTree(start.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eng.LogLikelihood(), ref.LogLikelihood(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("lnL after the pass: incremental %.17g vs fresh %.17g", got, want)
+	}
+}
+
+// BenchmarkSPRPass times one lazy-SPR sweep (radius 5) from the same
+// random start on a 24-taxon, 600-site alignment — the shape of the
+// perfbench fa-ranks inputs — and reports the newviews each sweep
+// recomputes. Report-only (not in BENCH_BASELINE.json).
+func BenchmarkSPRPass(b *testing.B) {
+	a, _, err := seqgen.Generate(seqgen.Config{Taxa: 24, Chars: 600, Seed: 11, TreeScale: 0.5, Alpha: 0.8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pat, err := msa.Compress(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := threads.NewPool(1, pat.NumPatterns())
+	defer pool.Close()
+	eng, err := likelihood.New(pat, gtr.Default(), gtr.NewUniform(pat.NumPatterns()), likelihood.Config{Pool: pool})
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := parsimony.StepwiseAddition(pat, rng.New(7), eng.ThreadPool())
+	var newviews int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr := start.Clone()
+		if err := eng.AttachTree(tr); err != nil {
+			b.Fatal(err)
+		}
+		best := eng.OptimizeAllBranches(1, 0.01)
+		nv0, _ := eng.Counts()
+		b.StartTimer()
+		if _, err := sprPass(eng, tr, 5, 0.1, &best, &Result{Tree: tr}); err != nil {
+			b.Fatal(err)
+		}
+		nv1, _ := eng.Counts()
+		newviews += nv1 - nv0
+	}
+	b.ReportMetric(float64(newviews)/float64(b.N), "newviews/op")
+}

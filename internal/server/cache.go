@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -86,15 +87,31 @@ type CacheStats struct {
 // compression output; namespace "starttree": parsimony stepwise-
 // addition trees) survive across runs, so a repeat submission of an
 // already-seen alignment skips straight to the search. Namespaces keep
-// independent hit/miss counters (exported at /debug/vars).
+// independent hit/miss counters (exported at /debug/vars). Every
+// namespace holds at most warmCacheEntries entries and evicts the least
+// recently used one beyond that, so a long-lived server's cache stays
+// bounded however many distinct alignments and seeds it has served.
 type WarmCache struct {
 	mu sync.Mutex
 	ns map[string]*nsCache
 }
 
+// warmCacheEntries is the per-namespace entry cap: several times the
+// working set of a busy tenant mix (the serve-tcp benchmark cycles
+// through 16 alignments), so recurring alignments keep hitting while
+// one-off keys, such as the start trees of fresh parsimony seeds, age
+// out.
+const warmCacheEntries = 64
+
 type nsCache struct {
-	entries map[string]any
+	entries map[string]*list.Element // values are *cacheEntry
+	lru     list.List                // front: most recently used
 	stats   CacheStats
+}
+
+type cacheEntry struct {
+	key string
+	v   any
 }
 
 // NewWarmCache creates an empty cache.
@@ -105,31 +122,45 @@ func NewWarmCache() *WarmCache {
 func (c *WarmCache) space(ns string) *nsCache {
 	n := c.ns[ns]
 	if n == nil {
-		n = &nsCache{entries: make(map[string]any)}
+		n = &nsCache{entries: make(map[string]*list.Element)}
 		c.ns[ns] = n
 	}
 	return n
 }
 
-// Get looks key up in namespace ns, counting the hit or miss.
+// Get looks key up in namespace ns, counting the hit or miss; a hit
+// makes the entry the namespace's most recently used.
 func (c *WarmCache) Get(ns, key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.space(ns)
-	v, ok := n.entries[key]
-	if ok {
-		n.stats.Hits++
-	} else {
+	el, ok := n.entries[key]
+	if !ok {
 		n.stats.Misses++
+		return nil, false
 	}
-	return v, ok
+	n.stats.Hits++
+	n.lru.MoveToFront(el)
+	return el.Value.(*cacheEntry).v, true
 }
 
-// Put inserts key in namespace ns.
+// Put inserts (or replaces) key in namespace ns as its most recently
+// used entry, evicting the least recently used one past the cap.
 func (c *WarmCache) Put(ns, key string, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.space(ns).entries[key] = v
+	n := c.space(ns)
+	if el, ok := n.entries[key]; ok {
+		el.Value.(*cacheEntry).v = v
+		n.lru.MoveToFront(el)
+		return
+	}
+	n.entries[key] = n.lru.PushFront(&cacheEntry{key: key, v: v})
+	if n.lru.Len() > warmCacheEntries {
+		old := n.lru.Back()
+		n.lru.Remove(old)
+		delete(n.entries, old.Value.(*cacheEntry).key)
+	}
 }
 
 // Stats snapshots every namespace's counters.

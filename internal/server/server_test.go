@@ -271,6 +271,63 @@ func TestServerDedupAndWarmCache(t *testing.T) {
 	}
 }
 
+// TestWarmCacheBoundedAcrossRuns: every run with a new parsimony seed
+// puts its start tree under a new key, so without a bound the
+// start-tree namespace grows with every completed run. After 100
+// distinct-seed runs it holds at most the cap, while the one alignment
+// the runs share keeps hitting the pattern namespace.
+func TestWarmCacheBoundedAcrossRuns(t *testing.T) {
+	a, _, err := seqgen.Generate(seqgen.Config{Taxa: 6, Chars: 120, Seed: 5, TreeScale: 0.5, Alpha: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := msa.WritePHYLIP(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServer(t, 1, Config{MaxRunning: 2})
+	const runs = 100
+	for i := 0; i < runs; i++ {
+		p := RunParams{Model: "GTRCAT", Starts: 1, Batch: 1, SeedParsimony: int64(1000 + i), SeedBootstrap: 7, FastSearch: true}
+		run, _, err := s.Submit(Submission{Alignment: buf.Bytes(), Params: p, Tenant: "t"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, run, StateDone)
+	}
+	stats := s.cache.Stats()
+	if st := stats[nsStartTree]; st.Misses < runs || st.Entries > warmCacheEntries || st.Entries == 0 {
+		t.Errorf("start-tree namespace after %d distinct-seed runs: %+v, want at most %d entries", runs, st, warmCacheEntries)
+	}
+	if st := stats[nsPatterns]; st.Entries != 1 || st.Hits != runs-1 {
+		t.Errorf("pattern namespace: %+v, want 1 entry hit by every run after the first", st)
+	}
+}
+
+// TestWarmCacheEvictsLeastRecentlyUsed: past the cap, the entry
+// evicted is the one least recently put or hit.
+func TestWarmCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	c := NewWarmCache()
+	for i := 0; i < warmCacheEntries; i++ {
+		c.Put("ns", strconv.Itoa(i), i)
+	}
+	if _, ok := c.Get("ns", "0"); !ok { // 0 becomes the most recent
+		t.Fatal("entry 0 missing before the cap was reached")
+	}
+	c.Put("ns", "new", -1) // evicts 1, the least recently used
+	if _, ok := c.Get("ns", "1"); ok {
+		t.Error("least recently used entry 1 survived an insert past the cap")
+	}
+	for _, k := range []string{"0", "2", "new"} {
+		if _, ok := c.Get("ns", k); !ok {
+			t.Errorf("entry %s evicted, want kept", k)
+		}
+	}
+	if n := c.Stats()["ns"].Entries; n != warmCacheEntries {
+		t.Errorf("%d entries, want the cap %d", n, warmCacheEntries)
+	}
+}
+
 // stubExecute replaces the analysis body with a gate so admission-order
 // tests control exactly when each "run" finishes.
 func stubExecute(s *Server) (started chan string, release chan struct{}) {
